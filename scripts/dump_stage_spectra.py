@@ -9,19 +9,8 @@ the residual floor created by band truncation.
 import argparse
 from pathlib import Path
 
-from propeq import (
-    apply_channel,
-    combine,
-    default_scenario,
-    dump_spectrum,
-    equalize,
-    extract_doppler,
-    forward_fft,
-    modulator_spectrum,
-    scenario_with,
-    synth_ils,
-    synth_tone,
-)
+from propeq import default_scenario, dump_spectrum, scenario_with
+from propeq.pipeline import stage_spectra
 
 
 def main() -> None:
@@ -41,14 +30,8 @@ def main() -> None:
         seed=args.seed,
         snr_db=None if args.noiseless else "keep",
     )
-    tx = combine(synth_ils(cfg.ils, cfg.clock), synth_tone(cfg.tone, cfg.clock))
-    rx_spec = forward_fft(apply_channel(tx, cfg.channel))
-    dop = extract_doppler(rx_spec, cfg.tone, cfg.tone_band)
-    eq_spec = forward_fft(equalize(rx_spec, dop, cfg.signal_band, cfg.reg))
-
-    dump_spectrum(modulator_spectrum(cfg.channel, cfg.clock), out / "modulator.csv")
-    dump_spectrum(rx_spec, out / "rx.csv")
-    dump_spectrum(eq_spec, out / "equalized.csv")
+    for stage, spec in stage_spectra(cfg).items():
+        dump_spectrum(spec, out / f"{stage}.csv")
     print(f"wrote modulator.csv, rx.csv, equalized.csv to {out}/ (f_p={args.fp:g} Hz)")
 
 

@@ -41,6 +41,7 @@ from .harness import (
     scenario_from_dict,
     scenario_to_dict,
     scenario_with,
+    simulate,
     sweep_fp,
 )
 from .metrics import ToneAmplitudes, compute_ddm, ddm_deviation, estimate_amplitudes
@@ -113,6 +114,7 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "scenario_with",
+    "simulate",
     "sweep_fp",
     "synth_ils",
     "synth_tone",

@@ -128,8 +128,17 @@ class ChannelConfig:
         if abs(total - 1.0) > _COEFF_NORM_TOL:
             props = tuple(replace(p, coeff=p.coeff / total) for p in props)
         object.__setattr__(self, "propellers", props)
-        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be a non-negative int, got {self.rng_seed}")
+        check_seed(self.rng_seed)
+
+    def with_rate(self, f_p: float) -> "ChannelConfig":
+        """This channel with every propeller turning at ``f_p`` (a uniform-speed sweep)."""
+        return replace(self, propellers=tuple(replace(p, f_p=f_p) for p in self.propellers))
+
+
+def check_seed(seed: int) -> None:
+    """Reject a noise seed that is not a non-negative int."""
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"rng_seed must be a non-negative int, got {seed}")
 
 
 def eval_modulator(cfg: ChannelConfig, clock: SampleClock) -> SampleBuffer:
@@ -144,6 +153,19 @@ def eval_modulator(cfg: ChannelConfig, clock: SampleClock) -> SampleBuffer:
     return SampleBuffer(clock, m.astype(np.complex128))
 
 
+def noise_scale(clean: np.ndarray, snr_db: float) -> float:
+    """Per-component noise deviation: P_noise = mean(|clean|^2) / 10^(snr_db/10)."""
+    p_sig = float(np.mean(np.abs(clean) ** 2))
+    p_noise = p_sig / 10.0 ** (snr_db / 10.0)
+    return np.sqrt(p_noise / 2.0)
+
+
+def unit_noise(seed: int, n: int) -> np.ndarray:
+    """The seed's complex Gaussian noise with unit variance per component."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
 def apply_channel(tx: SampleBuffer, cfg: ChannelConfig) -> SampleBuffer:
     """Modulate ``tx`` by the aggregate gain, then add seeded AWGN.
 
@@ -154,15 +176,7 @@ def apply_channel(tx: SampleBuffer, cfg: ChannelConfig) -> SampleBuffer:
     m = eval_modulator(cfg, tx.clock)
     rx = tx.samples * m.samples.real
     if cfg.snr_db is not None:
-        p_sig = float(np.mean(np.abs(rx) ** 2))
-        p_noise = p_sig / 10.0 ** (cfg.snr_db / 10.0)
-        rng = np.random.default_rng(cfg.rng_seed)
-        scale = np.sqrt(p_noise / 2.0)
-        noise = scale * (
-            rng.standard_normal(tx.clock.n_samples)
-            + 1j * rng.standard_normal(tx.clock.n_samples)
-        )
-        rx = rx + noise
+        rx = rx + noise_scale(rx, cfg.snr_db) * unit_noise(cfg.rng_seed, tx.clock.n_samples)
     return SampleBuffer(tx.clock, rx)
 
 

@@ -9,11 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .channel import apply_channel, modulator_spectrum
-from .equalizer import equalize, extract_doppler, predict_blind_spots
+from .equalizer import predict_blind_spots
 from .errors import PipelineError
 from .harness import (
-    CSV_HEADER,
     ScenarioConfig,
     default_scenario,
     dump_spectrum,
@@ -21,13 +19,12 @@ from .harness import (
     emit_plot,
     fp_grid,
     load_config,
-    run_single,
     scenario_with,
+    simulate,
     sweep_fp,
     SweepResult,
 )
-from .signals import combine, synth_ils, synth_tone
-from .spectral import forward_fft
+from .pipeline import STAGES, stage_spectra
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +69,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("spectrum", help="dump a pipeline-stage spectrum as CSV")
     sp.add_argument("--config", help="JSON scenario config (defaults used if omitted)")
-    sp.add_argument("--stage", choices=("rx", "equalized", "modulator"), required=True)
+    sp.add_argument("--stage", choices=STAGES, required=True)
     sp.add_argument("--fp", type=float, help="override propeller rate in Hz")
     sp.add_argument("--seed", type=int, help="override channel noise seed")
     sp.add_argument("--out", required=True, help="CSV output path")
@@ -99,22 +96,17 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
-    result = run_single(cfg)
+    sim = simulate(cfg)
+    (result,) = sim.results
     print(f"f_p = {result.f_p_hz:g} Hz, seed = {result.seed}")
     print(f"ddm_raw = {result.ddm_raw:+.6f}  (dev {result.dev_raw:.3e})")
     print(f"ddm_eq  = {result.ddm_eq:+.6f}  (dev {result.dev_eq:.3e})")
-    flagged = predict_blind_spots(cfg.channel, cfg.clock)
+    flagged = sim.summaries[0].flagged_freqs
     if flagged:
         freqs = ", ".join(f"{f:g} Hz" for f in flagged)
         print(f"note: modulator has components at {freqs}; equalization may underperform")
     if args.out:
-        lines = [
-            CSV_HEADER,
-            f"{result.f_p_hz!r},{result.seed},{result.ddm_raw!r},"
-            f"{result.ddm_eq!r},{result.dev_raw!r},{result.dev_eq!r}",
-        ]
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        emit_csv(sim, args.out)
     return 0
 
 
@@ -171,18 +163,7 @@ def _cmd_blindspots(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
-    if args.stage == "modulator":
-        spec = modulator_spectrum(cfg.channel, cfg.clock)
-    else:
-        tx = combine(synth_ils(cfg.ils, cfg.clock), synth_tone(cfg.tone, cfg.clock))
-        rx_spec = forward_fft(apply_channel(tx, cfg.channel))
-        if args.stage == "rx":
-            spec = rx_spec
-        else:
-            dop = extract_doppler(rx_spec, cfg.tone, cfg.tone_band)
-            eq = equalize(rx_spec, dop, cfg.signal_band, cfg.reg)
-            spec = forward_fft(eq)
-    dump_spectrum(spec, args.out)
+    dump_spectrum(stage_spectra(cfg, (args.stage,))[args.stage], args.out)
     print(f"wrote {args.stage} spectrum to {args.out}")
     return 0
 

@@ -13,10 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, modulator_spectrum
+from .channel import ChannelConfig, eval_modulator
 from .errors import ToneAbsentError
 from .signals import SampleBuffer, SampleClock, ToneParams
-from .spectral import BandSpec, Spectrum, bandpass_window, bin_index, inverse_fft
+from .spectral import BandSpec, Spectrum, bandpass_window, dft_bins, dft_twiddles, inverse_fft
+
+# a tone band this far below the capture's energy holds only FFT roundoff
+_TONE_FLOOR = 1e-24
+
+CRITICAL_FREQS = (90.0, 150.0)
 
 
 @dataclass(frozen=True)
@@ -27,8 +32,13 @@ class DopplerEstimate:
     tone_band: BandSpec
 
     def __post_init__(self) -> None:
-        if not float(np.mean(np.abs(self.g_hat.samples))) > 0:
-            raise ValueError("g_hat must carry energy")
+        check_estimate(self.g_hat.samples)
+
+
+def check_estimate(g_hat: np.ndarray) -> None:
+    """Reject a modulator estimate that carries no energy."""
+    if not float(np.mean(np.abs(g_hat))) > 0:
+        raise ValueError("g_hat must carry energy")
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,68 @@ class RegPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_rel < 1.0:
             raise ValueError(f"eps_rel must be in (0, 1), got {self.eps_rel}")
+
+
+def tone_band_empty(band_energy: float, total_energy: float) -> bool:
+    """Whether a tone band's energy is indistinguishable from FFT roundoff."""
+    return band_energy <= _TONE_FLOOR * total_energy
+
+
+def tone_absent(band: BandSpec) -> ToneAbsentError:
+    return ToneAbsentError(f"no energy in tone band [{band.lo_hz}, {band.hi_hz}] Hz")
+
+
+def tone_carrier(clock: SampleClock, tone: ToneParams) -> np.ndarray:
+    """Conjugate reference tone exp(-j(2*pi*f*t + phase)) over the capture."""
+    t = clock.times()
+    return np.exp(-1j * (2 * np.pi * tone.offset_hz * t + tone.phase))
+
+
+def demodulate(
+    d_t: np.ndarray, carrier: np.ndarray, amp: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Tone-band samples moved to baseband and scaled to unit tone amplitude.
+
+    ``out`` may be ``d_t`` itself, or any complex buffer of its shape.
+    """
+    out = np.multiply(d_t, carrier, out=out)
+    out /= amp
+    return out
+
+
+def regularized_divide(
+    s: np.ndarray,
+    g: np.ndarray,
+    eps_rel: float,
+    out: np.ndarray | None = None,
+    mag: np.ndarray | None = None,
+) -> np.ndarray:
+    """s * conj(g) / max(|g|^2, floor^2) with floor = eps_rel * max |g|.
+
+    ``out`` (complex, may be ``g`` itself) and ``mag`` (real) are optional
+    work buffers shaped like ``g``; a sweep passes the same ones to every run.
+    """
+    mag = np.abs(g, out=mag)
+    floor_sq = (eps_rel * float(np.max(mag))) ** 2
+    np.square(mag, out=mag)
+    np.maximum(mag, floor_sq, out=mag)
+    out = np.conjugate(g, out=out)
+    out *= s
+    out /= mag
+    return out
+
+
+def flag_blind_spots(
+    bins: np.ndarray, critical_freqs: tuple[float, ...], rel_threshold: float
+) -> tuple[float, ...]:
+    """Critical frequencies f with |G(f)| > rel_threshold * |G(0)|.
+
+    ``bins`` holds G(0) followed by G at each critical frequency.
+    """
+    if not rel_threshold > 0:
+        raise ValueError(f"rel_threshold must be > 0, got {rel_threshold}")
+    ref = abs(bins[0])
+    return tuple(f for f, b in zip(critical_freqs, bins[1:]) if abs(b) > rel_threshold * ref)
 
 
 def extract_doppler(
@@ -64,15 +136,10 @@ def extract_doppler(
     windowed = bandpass_window(rx_spec, band)
     band_energy = float(np.sum(np.abs(windowed.bins) ** 2))
     total_energy = float(np.sum(np.abs(rx_spec.bins) ** 2))
-    # far below FFT roundoff relative to the capture: the tone is not there
-    if band_energy <= 1e-24 * total_energy:
-        raise ToneAbsentError(
-            f"no energy in tone band [{band.lo_hz}, {band.hi_hz}] Hz"
-        )
+    if tone_band_empty(band_energy, total_energy):
+        raise tone_absent(band)
     d_t = inverse_fft(windowed)
-    t = rx_spec.clock.times()
-    carrier = np.exp(-1j * (2 * np.pi * tone.offset_hz * t + tone.phase))
-    g_hat = d_t.samples * carrier / tone.amp
+    g_hat = demodulate(d_t.samples, tone_carrier(rx_spec.clock, tone), tone.amp)
     return DopplerEstimate(SampleBuffer(rx_spec.clock, g_hat), band)
 
 
@@ -94,16 +161,14 @@ def equalize(
             f"disjoint from tone band [{dop.tone_band.lo_hz}, {dop.tone_band.hi_hz}] Hz"
         )
     s_band = inverse_fft(bandpass_window(rx_spec, signal_band))
-    g = dop.g_hat.samples
-    floor_sq = (reg.eps_rel * float(np.max(np.abs(g)))) ** 2
-    denom = np.maximum(np.abs(g) ** 2, floor_sq)
-    return SampleBuffer(rx_spec.clock, s_band.samples * np.conj(g) / denom)
+    q = regularized_divide(s_band.samples, dop.g_hat.samples, reg.eps_rel)
+    return SampleBuffer(rx_spec.clock, q)
 
 
 def predict_blind_spots(
     cfg: ChannelConfig,
     clock: SampleClock,
-    critical_freqs: tuple[float, ...] = (90.0, 150.0),
+    critical_freqs: tuple[float, ...] = CRITICAL_FREQS,
     rel_threshold: float = 0.01,
 ) -> tuple[float, ...]:
     """Critical frequencies where the modulator itself has spectral content.
@@ -113,13 +178,6 @@ def predict_blind_spots(
     energy at f into every signal component, so equalization can interfere
     with the very tones it is meant to protect.
     """
-    if not rel_threshold > 0:
-        raise ValueError(f"rel_threshold must be > 0, got {rel_threshold}")
-    spec = modulator_spectrum(cfg, clock)
-    ref = abs(spec.bins[0])
-    flagged = []
-    for f in critical_freqs:
-        idx = bin_index(clock, f)
-        if abs(spec.bins[idx]) > rel_threshold * ref:
-            flagged.append(f)
-    return tuple(flagged)
+    twiddles = dft_twiddles(clock, (0.0, *critical_freqs))
+    bins = dft_bins(twiddles, eval_modulator(cfg, clock).samples)
+    return flag_blind_spots(bins, critical_freqs, rel_threshold)

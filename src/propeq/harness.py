@@ -1,23 +1,24 @@
 """Scenario runner: single simulations, propeller-speed sweeps, and emitters.
 
 A scenario bundles every knob of the pipeline (clock, transmitted signal,
-channel, windows, regularization). ``run_single`` executes the full chain
-synth -> channel -> FFT -> extract -> equalize -> DDM for one configuration;
-``sweep_fp`` repeats it over a rotation-rate grid and a Monte-Carlo seed
-list, with optional thread-parallel execution whose output is merged in
-deterministic grid order.
+channel, windows, regularization). ``run_single`` and ``simulate`` execute the
+full chain synth -> channel -> FFT -> extract -> equalize -> DDM for one
+configuration; ``sweep_fp`` repeats it over a rotation-rate grid and a
+Monte-Carlo seed list, with optional thread-parallel execution whose output is
+merged in deterministic grid order. All three run on the staged engine in
+``pipeline``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import pipeline
 from .channel import (
     ChannelConfig,
     CustomCycle,
@@ -25,19 +26,11 @@ from .channel import (
     Shape,
     SineRipple,
     SquareWave,
-    apply_channel,
 )
-from .equalizer import RegPolicy, equalize, extract_doppler, predict_blind_spots
-from .metrics import compute_ddm, estimate_amplitudes
-from .signals import IlsParams, SampleClock, ToneParams, combine, synth_ils, synth_tone
-from .spectral import (
-    BandSpec,
-    Spectrum,
-    bandpass_window,
-    folded_frequencies,
-    forward_fft,
-    inverse_fft,
-)
+from .equalizer import RegPolicy
+from .metrics import DDM_FREQS
+from .signals import IlsParams, SampleClock, ToneParams
+from .spectral import BandSpec, Spectrum, bin_index, check_band, folded_frequencies
 
 CSV_HEADER = "f_p_hz,seed,ddm_raw,ddm_eq,dev_raw,dev_eq"
 
@@ -91,6 +84,10 @@ class ScenarioConfig:
                 f"tone offset {self.tone.offset_hz} Hz too close to the signal "
                 f"band; need >= {min_offset} Hz"
             )
+        for f in DDM_FREQS:
+            bin_index(self.clock, f)
+        check_band(self.clock, self.signal_band)
+        check_band(self.clock, self.tone_band)
         if self.true_ddm is None:
             object.__setattr__(self, "true_ddm", self.ils.ddm)
 
@@ -146,46 +143,65 @@ def scenario_with(
     ``snr_db`` accepts None to disable noise; pass the default sentinel to
     leave it untouched.
     """
-    ch = cfg.channel
-    props = ch.propellers
-    if f_p is not None:
-        props = tuple(replace(p, f_p=f_p) for p in props)
-    new_snr = ch.snr_db if snr_db == "keep" else snr_db
-    ch = ChannelConfig(
-        propellers=props,
-        snr_db=new_snr,
+    ch = cfg.channel if f_p is None else cfg.channel.with_rate(f_p)
+    ch = replace(
+        ch,
+        snr_db=ch.snr_db if snr_db == "keep" else snr_db,
         rng_seed=ch.rng_seed if seed is None else seed,
     )
     return replace(cfg, channel=ch)
 
 
+def _sweep(
+    cfg: ScenarioConfig,
+    rates: tuple[float | None, ...],
+    seeds: list[int],
+    workers: int,
+    blind_spot_threshold: float,
+) -> SweepResult:
+    truth = float(cfg.true_ddm)
+    results: list[RunResult] = []
+    summaries = []
+    per_rate = pipeline.sweep(cfg, rates, seeds, workers, blind_spot_threshold)
+    for f_p, (flagged, runs) in zip(rates, per_rate):
+        f_p_hz = float(cfg.channel.propellers[0].f_p if f_p is None else f_p)
+        chunk = [
+            RunResult(
+                f_p_hz=f_p_hz,
+                seed=seed,
+                ddm_raw=float(raw),
+                ddm_eq=float(eq),
+                dev_raw=abs(float(raw) - truth),
+                dev_eq=abs(float(eq) - truth),
+            )
+            for seed, (raw, eq) in zip(seeds, runs)
+        ]
+        results += chunk
+        summaries.append(
+            FpSummary(
+                f_p_hz=f_p_hz,
+                median_dev_raw=float(np.median([r.dev_raw for r in chunk])),
+                median_dev_eq=float(np.median([r.dev_eq for r in chunk])),
+                flagged_freqs=flagged,
+            )
+        )
+    return SweepResult(results=tuple(results), summaries=tuple(summaries))
+
+
+def simulate(cfg: ScenarioConfig) -> SweepResult:
+    """One run of the scenario as configured, with its blind-spot flags."""
+    return _sweep(cfg, (None,), [cfg.channel.rng_seed], 1, 0.01)
+
+
 def run_single(cfg: ScenarioConfig) -> RunResult:
     """Execute the full pipeline once.
 
-    The raw DDM is measured on the signal-band-windowed received buffer (not
-    the full capture) so it reflects propeller impairment rather than the
-    presence of the reference tone.
+    The raw DDM is measured on the signal-band window of the received
+    spectrum (not the full capture) so it reflects propeller impairment
+    rather than the presence of the reference tone.
     """
-    tx = combine(synth_ils(cfg.ils, cfg.clock), synth_tone(cfg.tone, cfg.clock))
-    rx = apply_channel(tx, cfg.channel)
-    rx_spec = forward_fft(rx)
-
-    raw_buf = inverse_fft(bandpass_window(rx_spec, cfg.signal_band))
-    ddm_raw = compute_ddm(estimate_amplitudes(raw_buf))
-
-    dop = extract_doppler(rx_spec, cfg.tone, cfg.tone_band)
-    eq_buf = equalize(rx_spec, dop, cfg.signal_band, cfg.reg)
-    ddm_eq = compute_ddm(estimate_amplitudes(eq_buf))
-
-    truth = float(cfg.true_ddm)
-    return RunResult(
-        f_p_hz=float(cfg.channel.propellers[0].f_p),
-        seed=cfg.channel.rng_seed,
-        ddm_raw=float(ddm_raw),
-        ddm_eq=float(ddm_eq),
-        dev_raw=abs(float(ddm_raw) - truth),
-        dev_eq=abs(float(ddm_eq) - truth),
-    )
+    (result,) = simulate(cfg).results
+    return result
 
 
 def fp_grid(fp_start: float, fp_stop: float, fp_step: float) -> tuple[float, ...]:
@@ -209,39 +225,15 @@ def sweep_fp(
 ) -> SweepResult:
     """Run the pipeline over a rotation-rate grid times a seed list.
 
-    Grid points may execute concurrently (``workers`` threads); results are
-    merged in (grid, seed) order regardless of completion order, so serial
-    and parallel sweeps emit byte-identical CSVs.
+    Contiguous chunks of the grid may execute concurrently (``workers``
+    threads); results are merged in (grid, seed) order regardless of
+    completion order, so serial and parallel sweeps emit byte-identical CSVs.
     """
     seeds = list(seeds)
     if len(seeds) == 0:
         raise ValueError("seeds must be non-empty")
     grid = fp_grid(fp_start, fp_stop, fp_step)
-    jobs = [scenario_with(cfg, f_p=fp, seed=s) for fp in grid for s in seeds]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_single, jobs))
-    else:
-        results = [run_single(job) for job in jobs]
-
-    summaries = []
-    for i, fp in enumerate(grid):
-        chunk = results[i * len(seeds) : (i + 1) * len(seeds)]
-        flagged = predict_blind_spots(
-            scenario_with(cfg, f_p=fp).channel,
-            cfg.clock,
-            rel_threshold=blind_spot_threshold,
-        )
-        summaries.append(
-            FpSummary(
-                f_p_hz=fp,
-                median_dev_raw=float(np.median([r.dev_raw for r in chunk])),
-                median_dev_eq=float(np.median([r.dev_eq for r in chunk])),
-                flagged_freqs=flagged,
-            )
-        )
-    return SweepResult(results=tuple(results), summaries=tuple(summaries))
+    return _sweep(cfg, grid, seeds, workers, blind_spot_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +411,23 @@ def _shape_to_dict(shape: Shape) -> dict:
     raise ValueError(f"unknown shape {shape!r}")
 
 
+_SHAPE_KEYS = {"square": {"duty", "lo", "hi"}, "sine": {"beta"}, "custom": {"gains"}}
+
+
 def _shape_from_dict(d: dict) -> Shape:
-    kind = d.get("kind")
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if kind not in _SHAPE_KEYS:
+        raise ValueError(f"config shape must be an object with a known kind, got {d!r}")
     rest = {k: v for k, v in d.items() if k != "kind"}
+    _check_keys(rest, _SHAPE_KEYS[kind], f"{kind} shape")
     if kind == "square":
         return SquareWave(**rest)
     if kind == "sine":
         return SineRipple(**rest)
-    if kind == "custom":
-        return CustomCycle(gains=tuple(rest.pop("gains")), **rest)
-    raise ValueError(f"unknown shape kind {kind!r}")
+    gains = rest.get("gains")
+    if not isinstance(gains, list):
+        raise ValueError(f"custom shape needs a list of gains, got {gains!r}")
+    return CustomCycle(gains=tuple(gains))
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -473,6 +472,8 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def _check_keys(d: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"config {where} must be a JSON object, got {type(d).__name__}")
     unknown = set(d) - allowed
     if unknown:
         raise ValueError(f"unknown config keys in {where}: {sorted(unknown)}")
@@ -492,7 +493,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         _check_keys(c, {"rate_hz", "n_samples"}, "clock")
         kwargs["clock"] = SampleClock(
             rate_hz=float(c.get("rate_hz", 32000.0)),
-            n_samples=int(c.get("n_samples", 32000)),
+            n_samples=c.get("n_samples", 32000),
         )
     if "ils" in d:
         _check_keys(d["ils"], {"a_c", "a_90", "a_150", "phase_90", "phase_150"}, "ils")
@@ -504,8 +505,13 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         ch = d["channel"]
         _check_keys(ch, {"propellers", "snr_db", "rng_seed"}, "channel")
         props = []
-        for p in ch.get("propellers", []):
+        listed = ch.get("propellers", [])
+        if not isinstance(listed, list):
+            raise ValueError(f"config propellers must be a JSON list, got {type(listed).__name__}")
+        for p in listed:
             _check_keys(p, {"shape", "f_p", "phase", "coeff"}, "propeller")
+            if "shape" not in p:
+                raise ValueError('config propeller needs a "shape"')
             props.append(
                 PropellerModel(
                     shape=_shape_from_dict(p["shape"]),
@@ -520,7 +526,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         kwargs["channel"] = ChannelConfig(
             propellers=tuple(props),
             snr_db=None if snr is None else float(snr),
-            rng_seed=int(ch.get("rng_seed", 0)),
+            rng_seed=ch.get("rng_seed", 0),
         )
     for band_key in ("signal_band", "tone_band"):
         if band_key in d:

@@ -1,9 +1,10 @@
 """ILS tone amplitude estimation, DDM, and DDM deviation.
 
-Amplitudes are read from exact FFT bins, no neighborhood summation: on the
+Amplitudes are read from exact DFT bins, no neighborhood summation: on the
 default clock every tone is an integer bin, and any leakage into those bins
 caused by channel modulation is precisely the impairment being measured, so
-the estimator must not smooth it away.
+the estimator must not smooth it away. Only the five bins in ``DDM_FREQS``
+are needed, so they are computed directly rather than by a full FFT.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import numpy as np
 
 from .errors import CarrierLostError
 from .signals import SampleBuffer
-from .spectral import bin_index
+from .spectral import dft_bins, dft_twiddles
 
 _CARRIER_FLOOR = 1e-12
+
+# the bins an amplitude estimate reads, in the order ``amplitudes_from_bins`` takes
+DDM_FREQS = (0.0, 90.0, -90.0, 150.0, -150.0)
 
 
 @dataclass(frozen=True)
@@ -34,17 +38,22 @@ class ToneAmplitudes:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
+def amplitudes_from_bins(bins: np.ndarray, n: int) -> ToneAmplitudes:
+    """Amplitudes from the unnormalized DFT bins at ``DDM_FREQS`` of an n-sample capture.
+
+    a_c = |X[0]|/N, a_f = (|X[+f]|+|X[-f]|)/N.
+    """
+    return ToneAmplitudes(
+        a_c=float(abs(bins[0])) / n,
+        a_90=float(abs(bins[1]) + abs(bins[2])) / n,
+        a_150=float(abs(bins[3]) + abs(bins[4])) / n,
+    )
+
+
 def estimate_amplitudes(buf: SampleBuffer) -> ToneAmplitudes:
-    """Bin-exact amplitude estimates: a_c = |X[0]|/N, a_f = (|X[+f]|+|X[-f]|)/N."""
-    n = buf.clock.n_samples
-    x = np.fft.fft(buf.samples)
-    a_c = float(abs(x[0])) / n
-    pair = {}
-    for f in (90.0, 150.0):
-        up = bin_index(buf.clock, f)
-        dn = bin_index(buf.clock, -f)
-        pair[f] = float(abs(x[up]) + abs(x[dn])) / n
-    return ToneAmplitudes(a_c=a_c, a_90=pair[90.0], a_150=pair[150.0])
+    """Bin-exact amplitude estimates of a capture (see ``amplitudes_from_bins``)."""
+    twiddles = dft_twiddles(buf.clock, DDM_FREQS)
+    return amplitudes_from_bins(dft_bins(twiddles, buf.samples), buf.clock.n_samples)
 
 
 def compute_ddm(amps: ToneAmplitudes) -> float:

@@ -28,7 +28,7 @@ class SampleClock:
     def __post_init__(self) -> None:
         if not self.rate_hz > 0:
             raise ValueError(f"rate_hz must be > 0, got {self.rate_hz}")
-        if not isinstance(self.n_samples, int) or self.n_samples <= 0:
+        if type(self.n_samples) is not int or self.n_samples <= 0:
             raise ValueError(f"n_samples must be a positive int, got {self.n_samples}")
 
     @property
@@ -44,6 +44,12 @@ class SampleClock:
         return np.arange(self.n_samples) / self.rate_hz
 
 
+def check_finite(arr: np.ndarray, what: str) -> None:
+    """Reject an array holding an infinity or a NaN."""
+    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        raise ValueError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class SampleBuffer:
     """An immutable complex time series tied to a sample clock."""
@@ -57,8 +63,7 @@ class SampleBuffer:
             raise ValueError(
                 f"samples must be 1-d of length {self.clock.n_samples}, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("samples must be finite")
+        check_finite(arr, "samples")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 

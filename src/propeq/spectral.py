@@ -8,11 +8,12 @@ spectrum corresponds to frequency k*(rate/N) folded into (-rate/2, rate/2]
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SampleBuffer, SampleClock
+from .signals import SampleBuffer, SampleClock, check_finite
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,7 @@ class Spectrum:
             raise ValueError(
                 f"bins must be 1-d of length {self.clock.n_samples}, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("bins must be finite")
+        check_finite(arr, "bins")
         arr.flags.writeable = False
         object.__setattr__(self, "bins", arr)
 
@@ -91,18 +91,61 @@ def inverse_fft(spec: Spectrum) -> SampleBuffer:
     return SampleBuffer(spec.clock, np.fft.ifft(spec.bins))
 
 
+def check_band(clock: SampleClock, band: BandSpec) -> None:
+    """Reject a band that reaches outside the Nyquist range of ``clock``."""
+    nyq = clock.rate_hz / 2.0
+    if band.lo_hz <= -nyq or band.hi_hz > nyq:
+        raise ValueError(
+            f"band [{band.lo_hz}, {band.hi_hz}] Hz exceeds the Nyquist range "
+            f"(-{nyq}, {nyq}]"
+        )
+
+
+def band_bins(clock: SampleClock, band: BandSpec) -> np.ndarray:
+    """Indices of the bins whose folded frequency falls inside ``band``."""
+    check_band(clock, band)
+    f = folded_frequencies(clock)
+    return np.flatnonzero((f >= band.lo_hz) & (f <= band.hi_hz))
+
+
 def bandpass_window(spec: Spectrum, band: BandSpec) -> Spectrum:
     """Zero every bin whose folded frequency falls outside ``band``.
 
     The window is single-sided: the mirror band at negative frequencies is
     not passed unless ``band`` itself covers it.
     """
-    nyq = spec.clock.rate_hz / 2.0
-    if band.lo_hz <= -nyq or band.hi_hz > nyq:
-        raise ValueError(
-            f"band [{band.lo_hz}, {band.hi_hz}] Hz exceeds the Nyquist range "
-            f"(-{nyq}, {nyq}]"
-        )
-    f = folded_frequencies(spec.clock)
-    mask = (f >= band.lo_hz) & (f <= band.hi_hz)
-    return Spectrum(spec.clock, np.where(mask, spec.bins, 0.0))
+    idx = band_bins(spec.clock, band)
+    out = np.zeros(spec.clock.n_samples, dtype=np.complex128)
+    out[idx] = spec.bins[idx]
+    return Spectrum(spec.clock, out)
+
+
+def dft_twiddles(clock: SampleClock, freqs: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """One period of exp(-2*pi*i*k*n/N) for the exact bin k of each of ``freqs``.
+
+    k*n mod N repeats every P = N/gcd(k, N) samples, so P twiddles describe
+    a whole DFT row: on the default clock 3200 for 90 Hz, 640 for 150 Hz,
+    and 1 for 0 Hz. The exponent is reduced modulo N in integers, so every
+    twiddle is accurate to roundoff.
+    """
+    n = clock.n_samples
+    out = []
+    for f in freqs:
+        k = bin_index(clock, f)
+        period = n // math.gcd(k, n)
+        out.append(np.exp(-2j * np.pi * (k * np.arange(period) % n) / n))
+    return tuple(out)
+
+
+def dft_bins(twiddles: tuple[np.ndarray, ...], samples: np.ndarray) -> np.ndarray:
+    """The DFT of ``samples`` at the bins of ``twiddles`` (see ``dft_twiddles``).
+
+    Equals ``np.fft.fft(samples)`` at those bins to roundoff. Each bin folds
+    the capture onto one twiddle period and takes a P-point dot product, so
+    reading a few bins costs far less than a full FFT.
+    """
+    # einsum, not BLAS: its fixed summation order keeps serial and threaded
+    # runs bit-identical
+    return np.array(
+        [np.einsum("p,p->", samples.reshape(-1, len(tw)).sum(axis=0), tw) for tw in twiddles]
+    )

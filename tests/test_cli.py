@@ -133,3 +133,24 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys):
                str(tmp_path / "missing-dir" / "x.csv")])
     assert rc == 2
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"ils": []}, "ils must be a JSON object"),
+        ({"channel": {"propellers": [{"f_p": 30.0}]}}, 'needs a "shape"'),
+        ({"clock": {"n_samples": 3.5}}, "n_samples must be a positive int"),
+        # 1.032 Hz bins: 90 Hz is not an exact bin
+        ({"clock": {"rate_hz": 32000.0, "n_samples": 31000}}, "not an integer bin"),
+        # the 1200-1800 Hz tone band lies beyond the 1500 Hz Nyquist limit
+        ({"clock": {"rate_hz": 3000.0, "n_samples": 3000}}, "exceeds the Nyquist range"),
+    ],
+)
+def test_impossible_config_is_rejected_at_construction(tmp_path, capsys, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("propeq: config error:") and message in err
+    assert err.count("\n") == 1
