@@ -24,12 +24,8 @@ def main() -> None:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    cfg = scenario_with(
-        default_scenario(),
-        f_p=args.fp,
-        seed=args.seed,
-        snr_db=None if args.noiseless else "keep",
-    )
+    noiseless = {"snr_db": None} if args.noiseless else {}
+    cfg = scenario_with(default_scenario(), f_p=args.fp, seed=args.seed, **noiseless)
     for stage, spec in stage_spectra(cfg).items():
         dump_spectrum(spec, out / f"{stage}.csv")
     print(f"wrote modulator.csv, rx.csv, equalized.csv to {out}/ (f_p={args.fp:g} Hz)")

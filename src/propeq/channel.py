@@ -135,6 +135,13 @@ class ChannelConfig:
         return replace(self, propellers=tuple(replace(p, f_p=f_p) for p in self.propellers))
 
 
+def check_rate(f_p: float, clock: SampleClock) -> None:
+    """Reject a rotation rate at or above half the sample rate, where the chop aliases."""
+    if not f_p < clock.rate_hz / 2.0:
+        nyq = clock.rate_hz / 2.0
+        raise ValueError(f"f_p {f_p} Hz must be below half the sample rate, {nyq} Hz")
+
+
 def check_seed(seed: int) -> None:
     """Reject a noise seed that is not a non-negative int."""
     if type(seed) is not int or seed < 0:

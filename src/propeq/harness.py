@@ -12,8 +12,12 @@ merged in deterministic grid order. All three run on the staged engine in
 from __future__ import annotations
 
 import csv
+import functools
 import json
-from dataclasses import dataclass, field, replace
+import sys
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,7 @@ from .channel import (
     Shape,
     SineRipple,
     SquareWave,
+    check_rate,
 )
 from .equalizer import RegPolicy
 from .metrics import DDM_FREQS
@@ -84,8 +89,10 @@ class ScenarioConfig:
                 f"tone offset {self.tone.offset_hz} Hz too close to the signal "
                 f"band; need >= {min_offset} Hz"
             )
-        for f in DDM_FREQS:
+        for f in (*DDM_FREQS, self.tone.offset_hz):
             bin_index(self.clock, f)
+        for p in self.channel.propellers:
+            check_rate(p.f_p, self.clock)
         check_band(self.clock, self.signal_band)
         check_band(self.clock, self.tone_band)
         if self.true_ddm is None:
@@ -132,24 +139,17 @@ class SweepResult:
 
 
 def scenario_with(
-    cfg: ScenarioConfig,
-    f_p: float | None = None,
-    seed: int | None = None,
-    snr_db: float | None | str = "keep",
+    cfg: ScenarioConfig, f_p: float | None = None, seed: int | None = None, **channel: object
 ) -> ScenarioConfig:
-    """Copy of ``cfg`` with the rotation rate, seed, or SNR overridden.
+    """Copy of ``cfg`` with the rotation rate, seed, or other channel fields overridden.
 
-    ``f_p`` is applied to every propeller (a uniform-speed sweep).
-    ``snr_db`` accepts None to disable noise; pass the default sentinel to
-    leave it untouched.
+    ``f_p`` is applied to every propeller (a uniform-speed sweep); ``channel``
+    keywords replace ``ChannelConfig`` fields, so ``snr_db=None`` disables noise.
     """
     ch = cfg.channel if f_p is None else cfg.channel.with_rate(f_p)
-    ch = replace(
-        ch,
-        snr_db=ch.snr_db if snr_db == "keep" else snr_db,
-        rng_seed=ch.rng_seed if seed is None else seed,
-    )
-    return replace(cfg, channel=ch)
+    if seed is not None:
+        channel["rng_seed"] = seed
+    return replace(cfg, channel=replace(ch, **channel))
 
 
 def _sweep(
@@ -233,6 +233,7 @@ def sweep_fp(
     if len(seeds) == 0:
         raise ValueError("seeds must be non-empty")
     grid = fp_grid(fp_start, fp_stop, fp_step)
+    check_rate(grid[-1], cfg.clock)
     return _sweep(cfg, grid, seeds, workers, blind_spot_threshold)
 
 
@@ -398,146 +399,87 @@ def emit_plot(result: SweepResult, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON configuration
+# JSON configuration: one walk over the scenario dataclasses, both ways. A
+# Shape is an object tagged by "kind"; an int goes to its class unchecked,
+# since the class itself rejects anything but a Python int.
+
+_SHAPE_KINDS = {"square": SquareWave, "sine": SineRipple, "custom": CustomCycle}
+_KIND_OF = {cls: kind for kind, cls in _SHAPE_KINDS.items()}
 
 
-def _shape_to_dict(shape: Shape) -> dict:
-    if isinstance(shape, SquareWave):
-        return {"kind": "square", "duty": shape.duty, "lo": shape.lo, "hi": shape.hi}
-    if isinstance(shape, SineRipple):
-        return {"kind": "sine", "beta": shape.beta}
-    if isinstance(shape, CustomCycle):
-        return {"kind": "custom", "gains": list(shape.gains)}
-    raise ValueError(f"unknown shape {shape!r}")
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, object, object], ...]:
+    """(name, resolved type, class default or MISSING) of each field of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default if f.default_factory is MISSING else f.default_factory())
+        for f in fields(cls)
+    )
 
 
-_SHAPE_KEYS = {"square": {"duty", "lo", "hi"}, "sine": {"beta"}, "custom": {"gains"}}
+def _decode(value: object, tp: object, path: str, base: object = None) -> object:
+    """JSON ``value`` at key ``path`` as ``tp``.
+
+    A field missing from an object takes its value in ``base``, the default of
+    the field holding the object (so a channel keeps 20 dB and the stock
+    propeller), or else the class default.
+    """
+    if tp is int:
+        return value
+    if tp is float:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and abs(value) <= sys.float_info.max):
+            raise ValueError(f"{path} must be a finite number, got {value!r}")
+        return float(value)
+    if isinstance(tp, types.UnionType) and type(None) in typing.get_args(tp):
+        return None if value is None else _decode(value, typing.get_args(tp)[0], path, base)
+    if tp == Shape:
+        kind = value.get("kind") if isinstance(value, dict) else None
+        tp = _SHAPE_KINDS.get(kind) if isinstance(kind, str) else None
+        if tp is None:
+            raise ValueError(f"{path} must be an object with a kind in {list(_SHAPE_KINDS)}")
+        value = {k: v for k, v in value.items() if k != "kind"}
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a JSON list, got {type(value).__name__}")
+        item = typing.get_args(tp)[0]
+        return tuple(_decode(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+    if not isinstance(value, dict):
+        raise ValueError(f"{path or 'scenario'} must be a JSON object, got {type(value).__name__}")
+    spec = _fields(tp)
+    unknown = sorted(f"{path}.{k}" if path else str(k) for k in set(value) - {f[0] for f in spec})
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    base = base if isinstance(base, tp) else None
+    kwargs = {}
+    for name, hint, default in spec:
+        inner = default if base is None else getattr(base, name)
+        if name in value:
+            kwargs[name] = _decode(value[name], hint, f"{path}.{name}" if path else name, inner)
+        elif base is not None:
+            kwargs[name] = inner
+        elif default is MISSING:
+            raise ValueError(f'{path or "scenario"} needs a "{name}"')
+    try:
+        return tp(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}" if path else str(e)) from None
 
 
-def _shape_from_dict(d: dict) -> Shape:
-    kind = d.get("kind") if isinstance(d, dict) else None
-    if kind not in _SHAPE_KEYS:
-        raise ValueError(f"config shape must be an object with a known kind, got {d!r}")
-    rest = {k: v for k, v in d.items() if k != "kind"}
-    _check_keys(rest, _SHAPE_KEYS[kind], f"{kind} shape")
-    if kind == "square":
-        return SquareWave(**rest)
-    if kind == "sine":
-        return SineRipple(**rest)
-    gains = rest.get("gains")
-    if not isinstance(gains, list):
-        raise ValueError(f"custom shape needs a list of gains, got {gains!r}")
-    return CustomCycle(gains=tuple(gains))
+def _encode(obj: object) -> object:
+    if is_dataclass(obj):
+        kind = {"kind": _KIND_OF[type(obj)]} if type(obj) in _KIND_OF else {}
+        return kind | {name: _encode(getattr(obj, name)) for name, _, _ in _fields(type(obj))}
+    return [_encode(v) for v in obj] if isinstance(obj, tuple) else obj
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "clock": {"rate_hz": cfg.clock.rate_hz, "n_samples": cfg.clock.n_samples},
-        "ils": {
-            "a_c": cfg.ils.a_c,
-            "a_90": cfg.ils.a_90,
-            "a_150": cfg.ils.a_150,
-            "phase_90": cfg.ils.phase_90,
-            "phase_150": cfg.ils.phase_150,
-        },
-        "tone": {
-            "offset_hz": cfg.tone.offset_hz,
-            "amp": cfg.tone.amp,
-            "phase": cfg.tone.phase,
-        },
-        "channel": {
-            "propellers": [
-                {
-                    "shape": _shape_to_dict(p.shape),
-                    "f_p": p.f_p,
-                    "phase": p.phase,
-                    "coeff": p.coeff,
-                }
-                for p in cfg.channel.propellers
-            ],
-            "snr_db": cfg.channel.snr_db,
-            "rng_seed": cfg.channel.rng_seed,
-        },
-        "signal_band": {
-            "center_hz": cfg.signal_band.center_hz,
-            "half_width_hz": cfg.signal_band.half_width_hz,
-        },
-        "tone_band": {
-            "center_hz": cfg.tone_band.center_hz,
-            "half_width_hz": cfg.tone_band.half_width_hz,
-        },
-        "reg": {"eps_rel": cfg.reg.eps_rel},
-        "true_ddm": cfg.true_ddm,
-    }
-
-
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"config {where} must be a JSON object, got {type(d).__name__}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys in {where}: {sorted(unknown)}")
+    return _encode(cfg)
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Build a scenario from a config dict; missing fields take defaults."""
-    _check_keys(
-        d,
-        {"clock", "ils", "tone", "channel", "signal_band", "tone_band", "reg", "true_ddm"},
-        "scenario",
-    )
-    defaults = ScenarioConfig()
-    kwargs: dict = {}
-    if "clock" in d:
-        c = d["clock"]
-        _check_keys(c, {"rate_hz", "n_samples"}, "clock")
-        kwargs["clock"] = SampleClock(
-            rate_hz=float(c.get("rate_hz", 32000.0)),
-            n_samples=c.get("n_samples", 32000),
-        )
-    if "ils" in d:
-        _check_keys(d["ils"], {"a_c", "a_90", "a_150", "phase_90", "phase_150"}, "ils")
-        kwargs["ils"] = IlsParams(**d["ils"])
-    if "tone" in d:
-        _check_keys(d["tone"], {"offset_hz", "amp", "phase"}, "tone")
-        kwargs["tone"] = ToneParams(**d["tone"])
-    if "channel" in d:
-        ch = d["channel"]
-        _check_keys(ch, {"propellers", "snr_db", "rng_seed"}, "channel")
-        props = []
-        listed = ch.get("propellers", [])
-        if not isinstance(listed, list):
-            raise ValueError(f"config propellers must be a JSON list, got {type(listed).__name__}")
-        for p in listed:
-            _check_keys(p, {"shape", "f_p", "phase", "coeff"}, "propeller")
-            if "shape" not in p:
-                raise ValueError('config propeller needs a "shape"')
-            props.append(
-                PropellerModel(
-                    shape=_shape_from_dict(p["shape"]),
-                    f_p=float(p.get("f_p", 30.0)),
-                    phase=float(p.get("phase", 0.0)),
-                    coeff=float(p.get("coeff", 1.0)),
-                )
-            )
-        if not props:
-            props = list(defaults.channel.propellers)
-        snr = ch.get("snr_db", defaults.channel.snr_db)
-        kwargs["channel"] = ChannelConfig(
-            propellers=tuple(props),
-            snr_db=None if snr is None else float(snr),
-            rng_seed=ch.get("rng_seed", 0),
-        )
-    for band_key in ("signal_band", "tone_band"):
-        if band_key in d:
-            _check_keys(d[band_key], {"center_hz", "half_width_hz"}, band_key)
-            kwargs[band_key] = BandSpec(**d[band_key])
-    if "reg" in d:
-        _check_keys(d["reg"], {"eps_rel"}, "reg")
-        kwargs["reg"] = RegPolicy(**d["reg"])
-    if "true_ddm" in d and d["true_ddm"] is not None:
-        kwargs["true_ddm"] = float(d["true_ddm"])
-    return ScenarioConfig(**kwargs)
+    return _decode(d, ScenarioConfig, "")
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -546,6 +488,4 @@ def load_config(path: str | Path) -> ScenarioConfig:
             d = json.load(fh)
         except json.JSONDecodeError as e:
             raise ValueError(f"invalid JSON in config {path}: {e}") from e
-    if not isinstance(d, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
     return scenario_from_dict(d)

@@ -8,6 +8,7 @@ the signal band so the two can be separated by frequency-domain windowing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,13 @@ class SampleClock:
     n_samples: int = 32000
 
     def __post_init__(self) -> None:
-        if not self.rate_hz > 0:
-            raise ValueError(f"rate_hz must be > 0, got {self.rate_hz}")
-        if type(self.n_samples) is not int or self.n_samples <= 0:
-            raise ValueError(f"n_samples must be a positive int, got {self.n_samples}")
+        if not 0 < self.rate_hz < math.inf:
+            raise ValueError(f"rate_hz must be finite and > 0, got {self.rate_hz}")
+        # 2**63 bounds any numpy array length (and keeps bin_hz a float)
+        if type(self.n_samples) is not int or not 0 < self.n_samples < 2**63:
+            raise ValueError(f"n_samples must be a positive int below 2**63, got {self.n_samples}")
+        if not self.bin_hz > 0:
+            raise ValueError(f"bin spacing {self.rate_hz} Hz / {self.n_samples} underflows to 0")
 
     @property
     def duration_s(self) -> float:

@@ -70,6 +70,8 @@ def folded_frequencies(clock: SampleClock) -> np.ndarray:
 def bin_index(clock: SampleClock, freq_hz: float, tol: float = 1e-9) -> int:
     """Index of the bin holding ``freq_hz``, required to be an exact bin."""
     ratio = freq_hz / clock.bin_hz
+    if not math.isfinite(ratio):
+        raise ValueError(f"{freq_hz} Hz is outside the Nyquist range")
     idx = int(round(ratio))
     if abs(ratio - idx) > tol:
         raise ValueError(

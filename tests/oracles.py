@@ -43,21 +43,5 @@ def square_partial_sum(
     return acc
 
 
-def continuous_square_partial_sum(
-    t: np.ndarray, f_p: float, duty: float, lo: float, hi: float, k_max: int
-) -> np.ndarray:
-    """Same reconstruction from the continuous-time coefficient formula.
-
-    Differs from the sampled-cycle truth by a half-sample phase bias of order
-    1e-3 RMS; kept for documentation-level sanity checks only.
-    """
-    acc = np.full(t.shape, hi + (lo - hi) * duty, dtype=complex)
-    for k in range(1, k_max + 1):
-        ck = (lo - hi) * np.sin(np.pi * k * duty) * np.exp(-1j * np.pi * k * duty) / (np.pi * k)
-        phasor = np.exp(2j * np.pi * k * f_p * t)
-        acc = acc + ck * phasor + np.conj(ck) * np.conj(phasor)
-    return acc
-
-
 def rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(x) ** 2)))

@@ -135,6 +135,11 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+_SQUARE = {"kind": "square", "duty": 0.3, "lo": 0.5, "hi": 1.0}
+# a valid scenario that is swept up to its 3200 Hz Nyquist rate
+_NYQUIST_SWEEP = {"clock": {"rate_hz": 6400.0, "n_samples": 6400}}
+
+
 @pytest.mark.parametrize(
     "config, message",
     [
@@ -145,12 +150,41 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys):
         ({"clock": {"rate_hz": 32000.0, "n_samples": 31000}}, "not an integer bin"),
         # the 1200-1800 Hz tone band lies beyond the 1500 Hz Nyquist limit
         ({"clock": {"rate_hz": 3000.0, "n_samples": 3000}}, "exceeds the Nyquist range"),
+        # a value of the wrong JSON type, named by its key path
+        ({"ils": {"a_90": "x"}}, "ils.a_90 must be a finite number"),
+        ({"tone": {"amp": None}}, "tone.amp must be a finite number"),
+        ({"reg": {"eps_rel": "0.1"}}, "reg.eps_rel must be a finite number"),
+        ({"signal_band": {"center_hz": "0"}}, "signal_band.center_hz must be a finite number"),
+        ({"clock": {"rate_hz": None}}, "clock.rate_hz must be a finite number"),
+        ({"channel": {"propellers": [{"shape": {**_SQUARE, "duty": "0.3"}}]}},
+         "channel.propellers[0].shape.duty must be a finite number"),
+        ({"channel": {"propellers": [{"shape": _SQUARE, "f_p": None}]}},
+         "channel.propellers[0].f_p must be a finite number"),
+        ({"channel": {"snr_db": "20"}}, "channel.snr_db must be a finite number"),
+        ({"ils": {"phase_90": [1]}}, "ils.phase_90 must be a finite number"),
+        # an off-bin reference tone
+        ({"tone": {"offset_hz": 1500.5}, "tone_band": {"center_hz": 1500.5}},
+         "1500.5 Hz is not an integer bin"),
+        # rotation rates at or beyond half the 32 kHz sample rate
+        ({"channel": {"propellers": [{"shape": _SQUARE, "f_p": 20000}]}},
+         "below half the sample rate"),
+        ({"channel": {"propellers": [{"shape": _SQUARE, "f_p": 1e308}]}},
+         "below half the sample rate"),
+        (_NYQUIST_SWEEP, "below half the sample rate"),
+        # clocks whose bin arithmetic would overflow or divide by zero
+        ({"clock": {"n_samples": 2**64}}, "n_samples must be a positive int below 2**63"),
+        ({"clock": {"rate_hz": 5e-324}}, "underflows to 0"),
+        ({"clock": {"rate_hz": 1e-310, "n_samples": 1}}, "90.0 Hz is outside the Nyquist range"),
     ],
 )
 def test_impossible_config_is_rejected_at_construction(tmp_path, capsys, config, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
-    assert main(["simulate", "--config", str(path)]) == 1
+    command = ["simulate"]
+    if config is _NYQUIST_SWEEP:
+        command = ["sweep", "--fp-start", "3000", "--fp-stop", "3200", "--fp-step", "100",
+                   "--out", str(tmp_path / "never.csv")]
+    assert main([*command, "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("propeq: config error:") and message in err
     assert err.count("\n") == 1

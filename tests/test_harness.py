@@ -1,13 +1,18 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from propeq import (
     BandSpec,
     ChannelConfig,
     CustomCycle,
+    IlsParams,
     PropellerModel,
     RegPolicy,
     SampleClock,
@@ -273,11 +278,23 @@ def test_partial_config_uses_defaults(tmp_path):
     assert cfg.true_ddm == pytest.approx((0.7 - 0.8) / 1.0)
 
 
+def test_channel_fields_default_to_the_default_channel():
+    default = default_scenario().channel
+    cfg = scenario_from_dict({"channel": {"rng_seed": 3}})
+    assert cfg.channel == dataclasses.replace(default, rng_seed=3)
+    noiseless = scenario_from_dict({"channel": {"snr_db": None}}).channel
+    assert noiseless.propellers == default.propellers and noiseless.snr_db is None
+    with pytest.raises(ValueError, match="propellers must be non-empty"):
+        scenario_from_dict({"channel": {"propellers": []}})
+
+
 def test_unknown_config_keys_rejected():
     with pytest.raises(ValueError, match="unknown config keys"):
         scenario_from_dict({"ils": {"a_90": 0.7, "bogus": 1}})
     with pytest.raises(ValueError, match="unknown config keys"):
         scenario_from_dict({"bogus": {}})
+    with pytest.raises(ValueError, match=r"channel\.propellers\[0\]\.shape\.bogus"):
+        scenario_from_dict({"channel": {"propellers": [{"shape": {"kind": "sine", "bogus": 1}}]}})
 
 
 def test_invalid_json_rejected(tmp_path):
@@ -293,3 +310,53 @@ def test_invalid_json_rejected(tmp_path):
 def test_reg_policy_from_config():
     cfg = scenario_from_dict({"reg": {"eps_rel": 0.01}})
     assert cfg.reg == RegPolicy(eps_rel=0.01)
+
+
+def test_readme_config_example_is_the_default_scenario():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Config file"):]
+    example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    assert scenario_from_dict(json.loads(example)) == default_scenario()
+
+
+_SCHEMA = (ScenarioConfig, SampleClock, IlsParams, ToneParams, ChannelConfig, PropellerModel,
+           SquareWave, SineRipple, CustomCycle, BandSpec, RegPolicy)
+_KEYS = st.sampled_from(
+    sorted({f.name for cls in _SCHEMA for f in dataclasses.fields(cls)} | {"kind"})
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["square", "sine", "custom"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _node_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [path] + [p for k, v in items for p in _node_paths(v, path + (k,))]
+    return [path]
+
+
+@st.composite
+def _configs(draw):
+    """Arbitrary JSON objects, or the default config with one node replaced."""
+    if draw(st.booleans()):
+        return draw(st.dictionaries(_KEYS, _JSON, max_size=5))
+    cfg = scenario_to_dict(default_scenario())
+    *parents, last = draw(st.sampled_from(_node_paths(cfg)[1:]))
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = draw(_JSON)
+    return cfg
+
+
+@given(_configs())
+def test_scenario_from_dict_raises_only_value_error(d):
+    try:
+        cfg = scenario_from_dict(d)
+    except ValueError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
