@@ -14,6 +14,7 @@ and it carries a strong 4th harmonic, which is what turns rotation rates of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,6 +129,8 @@ class ChannelConfig:
         if abs(total - 1.0) > _COEFF_NORM_TOL:
             props = tuple(replace(p, coeff=p.coeff / total) for p in props)
         object.__setattr__(self, "propellers", props)
+        if self.snr_db is not None:
+            check_snr(self.snr_db)
         check_seed(self.rng_seed)
 
     def with_rate(self, f_p: float) -> "ChannelConfig":
@@ -140,6 +143,18 @@ def check_rate(f_p: float, clock: SampleClock) -> None:
     if not f_p < clock.rate_hz / 2.0:
         nyq = clock.rate_hz / 2.0
         raise ValueError(f"f_p {f_p} Hz must be below half the sample rate, {nyq} Hz")
+
+
+def check_snr(snr_db: float) -> None:
+    """Reject an SNR whose power ratio 10**(snr_db/10) is not a positive finite float."""
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(
+            f"snr_db {snr_db} is out of range: 10**(snr_db/10) must be a positive finite float"
+        )
 
 
 def check_seed(seed: int) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .channel import check_rate
 from .equalizer import predict_blind_spots
 from .errors import PipelineError
 from .harness import (
@@ -147,8 +148,10 @@ def _cmd_blindspots(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
     if not args.threshold > 0:
         raise ValueError(f"--threshold must be > 0, got {args.threshold}")
+    grid = fp_grid(args.fp_start, args.fp_stop, args.fp_step)
+    check_rate(grid[-1], cfg.clock)
     any_flagged = False
-    for fp in fp_grid(args.fp_start, args.fp_stop, args.fp_step):
+    for fp in grid:
         flagged = predict_blind_spots(
             scenario_with(cfg, f_p=fp).channel, cfg.clock, rel_threshold=args.threshold
         )

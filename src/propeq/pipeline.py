@@ -4,8 +4,9 @@ One run is synth -> channel -> FFT -> extract -> equalize -> DDM. Across the
 runs of a sweep most of that work is shared, so the engine computes each
 product once, at the outermost layer it depends on:
 
-* per scenario (``Pipeline``): the transmit signal, the demodulating carrier,
-  the band bin indices, and the DFT twiddles of the DDM and blind-spot bins;
+* per scenario (``Pipeline``): the transmit signal, the signed bin offsets
+  of both bands, their polyphase IFFT plans (``BandIfft``), and the DFT
+  twiddles of the DDM and blind-spot bins;
 * per modulator (``Modulated``, one per rotation rate): the modulator,
   FFT(tx*m), the noise scale and the blind-spot bins;
 * per seed (``Noise``): the unit noise spectrum W. Only its signal-band and
@@ -13,10 +14,13 @@ product once, at the outermost layer it depends on:
   O(N + seeds x band bins), not a seeds x N table.
 
 The FFT is linear, so a run's received spectrum is FFT(tx*m) + scale*W. A run
-then costs two band IFFTs, the regularized division and a DFT of the five
-DDM bins of the quotient. The raw DDM is read from the received bins
-directly. Each thread runs into its own ``Workspace`` of full-length
-buffers, so a run allocates no full-length array of its own.
+then costs two band IFFTs, each a batch of short P-point transforms (50 of
+640 points on the default clock), the regularized division and a DFT of the
+five DDM bins of the quotient. The tone band is demodulated by shifting its
+bins to baseband before its IFFT, so no carrier is multiplied in. The raw
+DDM is read from the received signal-band bins directly. Each thread runs
+into its own ``Workspace`` of full-length buffers, so a run allocates no
+full-length array of its own.
 """
 
 from __future__ import annotations
@@ -31,18 +35,17 @@ from .channel import check_seed, eval_modulator, modulator_spectrum, noise_scale
 from .equalizer import (
     CRITICAL_FREQS,
     check_estimate,
-    demodulate,
     flag_blind_spots,
     regularized_divide,
     tone_absent,
     tone_band_empty,
-    tone_carrier,
 )
 from .metrics import DDM_FREQS, amplitudes_from_bins, compute_ddm
 from .signals import SampleBuffer, check_finite, combine, synth_ils, synth_tone
 from .spectral import (
+    BandIfft,
     Spectrum,
-    band_bins,
+    band_offsets,
     bin_index,
     dft_bins,
     dft_twiddles,
@@ -89,9 +92,7 @@ class Workspace:
     """Full-length buffers one thread reuses for every run it makes."""
 
     def __init__(self, n: int):
-        # the received windows: only the band bins are ever written
-        self.signal = np.zeros(n, dtype=np.complex128)
-        self.tone = np.zeros(n, dtype=np.complex128)
+        # each band IFFT runs in place in its buffer's (P, L) grid
         self.s = np.empty(n, dtype=np.complex128)
         self.g = np.empty(n, dtype=np.complex128)  # the estimate, then the quotient
         self.mag = np.empty(n)
@@ -103,11 +104,24 @@ class Pipeline:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         clock = cfg.clock
+        n = clock.n_samples
         self._tx = combine(synth_ils(cfg.ils, clock), synth_tone(cfg.tone, clock)).samples
-        self._carrier = tone_carrier(clock, cfg.tone)
-        self._signal_idx = band_bins(clock, cfg.signal_band)
-        self._tone_idx = band_bins(clock, cfg.tone_band)
-        self._ddm_idx = [bin_index(clock, f) for f in DDM_FREQS]
+        signal = band_offsets(clock, cfg.signal_band)
+        tone = band_offsets(clock, cfg.tone_band)
+        self._signal_idx = signal % n
+        self._tone_idx = tone % n
+        self._signal_ifft = BandIfft(n, signal)
+        # demodulating is shifting the tone bins down by the tone's bin k0 and
+        # scaling them by the carrier's exp(-i*phase)/amp; no carrier is built
+        k0 = bin_index(clock, cfg.tone.offset_hz)
+        shifted = tone - (k0 - n if k0 > n // 2 else k0)
+        same = np.array_equal(shifted, signal)  # the default bands share one plan
+        self._tone_ifft = self._signal_ifft if same else BandIfft(n, shifted)
+        self._tone_gain = np.exp(-1j * cfg.tone.phase) / cfg.tone.amp
+        # where each DDM bin sits in the signal band; a bin outside the band
+        # reads the 0 appended after it, as the windowed spectrum would
+        pos = {k: j for j, k in enumerate(self._signal_idx)}
+        self._ddm_pos = [pos.get(bin_index(clock, f), len(signal)) for f in DDM_FREQS]
         self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
 
     def modulate(self, f_p: float | None = None) -> Modulated:
@@ -149,37 +163,39 @@ class Pipeline:
 
     def run(self, mod: Modulated, noise: Noise | None, work: Workspace) -> tuple[float, float]:
         """(ddm_raw, ddm_eq) of one run."""
-        tone_bins = self._receive(mod, noise, work)
-        ddm_raw = compute_ddm(self._amplitudes(work.signal[self._ddm_idx]))
-        q = self._equalize(mod, noise, tone_bins, work)
+        signal, tone = self._receive(mod, noise)
+        ddm_raw = compute_ddm(self._amplitudes(np.append(signal, 0)[self._ddm_pos]))
+        q = self._equalize(mod, noise, signal, tone, work)
         return ddm_raw, compute_ddm(self._amplitudes(dft_bins(self._ddm_twiddles, q)))
 
     def equalized(self, mod: Modulated, noise: Noise | None) -> SampleBuffer:
         """The equalized capture of one run."""
-        work = self.workspace()
-        q = self._equalize(mod, noise, self._receive(mod, noise, work), work)
+        q = self._equalize(mod, noise, *self._receive(mod, noise), self.workspace())
         return SampleBuffer(self.cfg.clock, q)
 
     def _amplitudes(self, bins: np.ndarray):
         return amplitudes_from_bins(bins, self.cfg.clock.n_samples)
 
-    def _receive(self, mod: Modulated, noise: Noise | None, work: Workspace) -> np.ndarray:
-        """Write the received signal and tone bands into ``work``; return the tone bins."""
+    def _receive(self, mod: Modulated, noise: Noise | None) -> tuple[np.ndarray, np.ndarray]:
+        """The received signal-band and tone-band bins, in ascending frequency."""
         signal, tone = mod.signal, mod.tone
         if noise is not None:
             signal = signal + mod.scale * noise.signal
             tone = tone + mod.scale * noise.tone
         check_finite(signal, "received bins")
         check_finite(tone, "received bins")
-        work.signal[self._signal_idx] = signal
-        work.tone[self._tone_idx] = tone
-        return tone
+        return signal, tone
 
     def _equalize(
-        self, mod: Modulated, noise: Noise | None, tone_bins: np.ndarray, work: Workspace
+        self,
+        mod: Modulated,
+        noise: Noise | None,
+        signal: np.ndarray,
+        tone: np.ndarray,
+        work: Workspace,
     ) -> np.ndarray:
         cfg = self.cfg
-        band_energy = float(np.sum(np.abs(tone_bins) ** 2))
+        band_energy = float(np.sum(np.abs(tone) ** 2))
         # ||S + scale*W|| <= ||S|| + scale*||W||; redraw the noise only when
         # that bound cannot decide
         seed, noise_norm = (None, 0.0) if noise is None else (noise.seed, noise.norm)
@@ -188,10 +204,10 @@ class Pipeline:
             band_energy, float(np.sum(np.abs(self.rx_spectrum(mod, seed).bins) ** 2))
         ):
             raise tone_absent(cfg.tone_band)
-        g = demodulate(np.fft.ifft(work.tone, out=work.g), self._carrier, cfg.tone.amp, work.g)
+        g = self._tone_ifft(tone * self._tone_gain, work.g)
         check_finite(g, "g_hat")
         check_estimate(g)
-        s = np.fft.ifft(work.signal, out=work.s)
+        s = self._signal_ifft(signal, work.s)
         q = regularized_divide(s, g, cfg.reg.eps_rel, work.g, work.mag)
         check_finite(q, "equalized samples")
         return q

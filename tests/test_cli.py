@@ -138,6 +138,8 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys):
 _SQUARE = {"kind": "square", "duty": 0.3, "lo": 0.5, "hi": 1.0}
 # a valid scenario that is swept up to its 3200 Hz Nyquist rate
 _NYQUIST_SWEEP = {"clock": {"rate_hz": 6400.0, "n_samples": 6400}}
+# the default scenario run with `--snr-db <value>`, one distinct config per value
+_SNR_FLAG = {value: {} for value in ("4000", "-4000", "inf", "-inf", "nan")}
 
 
 @pytest.mark.parametrize(
@@ -175,6 +177,9 @@ _NYQUIST_SWEEP = {"clock": {"rate_hz": 6400.0, "n_samples": 6400}}
         ({"clock": {"n_samples": 2**64}}, "n_samples must be a positive int below 2**63"),
         ({"clock": {"rate_hz": 5e-324}}, "underflows to 0"),
         ({"clock": {"rate_hz": 1e-310, "n_samples": 1}}, "90.0 Hz is outside the Nyquist range"),
+        # SNRs whose power ratio overflows, underflows to 0 or is not a number
+        *((config, f"snr_db {float(value)} is out of range") for value, config in _SNR_FLAG.items()),
+        ({"channel": {"snr_db": -4000}}, "snr_db -4000.0 is out of range"),
     ],
 )
 def test_impossible_config_is_rejected_at_construction(tmp_path, capsys, config, message):
@@ -184,7 +189,21 @@ def test_impossible_config_is_rejected_at_construction(tmp_path, capsys, config,
     if config is _NYQUIST_SWEEP:
         command = ["sweep", "--fp-start", "3000", "--fp-stop", "3200", "--fp-step", "100",
                    "--out", str(tmp_path / "never.csv")]
+    command += [f"--snr-db={v}" for v, flagged in _SNR_FLAG.items() if config is flagged]
     assert main([*command, "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("propeq: config error:") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "start, step",
+    [("15990", "5"), ("15", "15985")],  # the second grid is 15 Hz, a flagged rate, then 16 kHz
+)
+def test_blindspots_checks_the_whole_grid_before_scanning(capsys, start, step):
+    # the grid ends at the 16 kHz half sample rate; no rate before it is printed
+    argv = ["blindspots", "--fp-start", start, "--fp-stop", "16000", "--fp-step", step]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("propeq: config error:") and captured.err.count("\n") == 1

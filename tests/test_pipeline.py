@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from propeq import (
+    BandSpec,
     CarrierLostError,
     ChannelConfig,
     CustomCycle,
@@ -37,8 +38,8 @@ from propeq import (
     synth_tone,
 )
 from propeq.cli import main
-from propeq.harness import DEFAULT_PROPELLER_PHASE, DEFAULT_SQUARE
-from propeq.pipeline import STAGES, stage_spectra
+from propeq.harness import DEFAULT_PROPELLER_PHASE, DEFAULT_SQUARE, simulate
+from propeq.pipeline import STAGES, Pipeline, stage_spectra
 
 DDM_TOL = 1e-12
 
@@ -71,6 +72,14 @@ SCENARIOS = {
     "noiseless": single(DEFAULT_SQUARE, f_p=22.5, snr_db=None),
     "clock6400": single(DEFAULT_SQUARE, clock=SampleClock(rate_hz=6400.0, n_samples=6400)),
     "deep_chop": DEEP_CHOP,
+    # a tone with phase and gain, and a signal band narrower than the tone
+    # band, so the bands get separate IFFT plans and 150 Hz lies outside it
+    "narrow_signal": single(
+        SineRipple(0.5),
+        f_p=26.0,
+        tone=ToneParams(amp=0.5, phase=0.7),
+        signal_band=BandSpec(0.0, 120.0),
+    ),
 }
 
 
@@ -161,6 +170,19 @@ def test_stage_spectra_match_composed_stages():
         np.testing.assert_allclose(got[stage].bins, want[stage].bins, rtol=0, atol=1e-8)
 
 
+def test_equalized_capture_keeps_the_tone_phase():
+    # the DDM reads magnitudes only, so compare the equalized capture itself;
+    # the public carrier's phase roundoff alone is about 1e-12 of it
+    cfg = SCENARIOS["narrow_signal"]
+    tx = combine(synth_ils(cfg.ils, cfg.clock), synth_tone(cfg.tone, cfg.clock))
+    rx_spec = forward_fft(apply_channel(tx, cfg.channel))
+    dop = extract_doppler(rx_spec, cfg.tone, cfg.tone_band)
+    want = equalize(rx_spec, dop, cfg.signal_band, cfg.reg).samples
+    pipe = Pipeline(cfg)
+    got = pipe.equalized(pipe.modulate(), pipe.noise(cfg.channel.rng_seed)).samples
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+
+
 def test_serial_and_threaded_multiprop_csv_identical(tmp_path):
     path = tmp_path / "multiprop.json"
     path.write_text(json.dumps(MULTIPROP))
@@ -187,3 +209,31 @@ def test_simulate_csv_is_a_one_point_sweep(tmp_path):
                  "--out", str(swept)]) == 0
     header, *rows = swept.read_text().splitlines()
     assert one.read_text() == f"{header}\n{rows[7]}\n"
+
+
+@pytest.fixture()
+def inverse_lengths(monkeypatch):
+    """The transform length of every numpy inverse FFT made while it is active."""
+    lengths = []
+    ifft = np.fft.ifft
+
+    def recorded(a, n=None, axis=-1, *args, **kwargs):
+        lengths.append(n if n is not None else np.shape(a)[axis])
+        return ifft(a, n, axis, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", recorded)
+    return lengths
+
+
+def test_sweep_runs_make_two_short_inverse_transforms(inverse_lengths):
+    cfg = default_scenario()
+    sweep = sweep_fp(cfg, 22.5, 23.0, 0.5, seeds=[0, 1])
+    assert len(sweep.results) == 4
+    assert len(inverse_lengths) == 2 * 4
+    # 601-bin bands on the 32000-point clock: batches of 640-point transforms
+    assert set(inverse_lengths) == {640}
+
+
+def test_simulate_makes_two_short_inverse_transforms(inverse_lengths):
+    simulate(default_scenario())
+    assert inverse_lengths == [640, 640]

@@ -7,6 +7,7 @@ from propeq import (
     BandSpec,
     IlsParams,
     SampleBuffer,
+    SampleClock,
     Spectrum,
     ToneParams,
     bandpass_window,
@@ -17,6 +18,8 @@ from propeq import (
     synth_ils,
     synth_tone,
 )
+from propeq.equalizer import demodulate, tone_carrier
+from propeq.spectral import BandIfft, band_bins, band_offsets
 
 
 def _random_buffer(clock, rng):
@@ -160,3 +163,80 @@ def test_band_spec_validation():
 def test_bin_index_rejects_fractional_bins(small_clock):
     with pytest.raises(ValueError, match="integer bin"):
         bin_index(small_clock, 90.5)
+
+
+# N = 2**8 * 5**3, 2**8 * 5**2, an odd composite 3**5 * 5**2, and a prime
+BAND_IFFT_SIZES = [32000, 6400, 6075, 6007]
+
+
+def _band_ifft_case(n, kind):
+    """Signed offsets of a band of the given kind on an n-point grid."""
+    if kind == "through_0":
+        return np.arange(-300, 301)
+    if kind == "positive":
+        return np.arange(1200, 1801)
+    if kind == "negative":
+        return np.arange(-1801, -1199)
+    # as wide as the polyphase length P it gets, starting below 0 so it wraps
+    p = BandIfft(n, np.arange(601)).p
+    return np.arange(-p // 3, -p // 3 + p)
+
+
+@pytest.mark.parametrize("n", BAND_IFFT_SIZES)
+@pytest.mark.parametrize("kind", ["through_0", "positive", "negative", "width_p"])
+def test_band_ifft_matches_zero_filled_ifft(rng, n, kind):
+    offsets = _band_ifft_case(n, kind)
+    bins = rng.standard_normal(len(offsets)) + 1j * rng.standard_normal(len(offsets))
+    full = np.zeros(n, dtype=complex)
+    full[offsets % n] = bins
+    want = np.fft.ifft(full)
+    plan = BandIfft(n, offsets)
+    assert plan.p * plan.l == n and plan.p >= len(offsets)
+    # stale samples in the buffer must not leak into the result
+    got = plan(bins, np.full(n, 1e300 + 1e300j))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, p", [(32000, 640), (6400, 640), (6075, 675), (6007, 6007)])
+def test_band_ifft_chooses_the_smallest_wide_enough_divisor(n, p):
+    plan = BandIfft(n, np.arange(-300, 301))
+    assert (plan.p, plan.l) == (p, n // p)  # the prime 6007 falls back to L = 1
+
+
+def test_band_ifft_rejects_a_band_with_a_gap():
+    with pytest.raises(ValueError, match="contiguous"):
+        BandIfft(6400, np.array([0, 1, 3]))
+
+
+def test_band_offsets_are_the_band_bins_in_frequency_order(clock):
+    band = BandSpec(0.0, 300.0)
+    offsets = band_offsets(clock, band)
+    assert np.array_equal(offsets, np.arange(-300, 301))
+    assert np.array_equal(np.sort(offsets % clock.n_samples), band_bins(clock, band))
+
+
+@pytest.mark.parametrize("n", [32000, 6400])
+def test_shifted_tone_band_is_the_demodulated_estimate(rng, n):
+    # the engine's tone path: shift the band down by the tone's bin, fold
+    # exp(-i*phase)/amp into its bins, and take the band IFFT
+    clock = SampleClock(rate_hz=float(n), n_samples=n)
+    tone = ToneParams(offset_hz=1500.0, amp=0.5, phase=0.7)
+    band = BandSpec(tone.offset_hz, 300.0)
+    spec = Spectrum(clock, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    offsets = band_offsets(clock, band)
+    k0 = bin_index(clock, tone.offset_hz)
+    bins = spec.bins[offsets % n] * np.exp(-1j * tone.phase) / tone.amp
+    got = BandIfft(n, offsets - k0)(bins, np.empty(n, dtype=complex))
+
+    d_t = inverse_fft(bandpass_window(spec, band)).samples
+    # a carrier whose phase is reduced modulo N in integers
+    exact = np.exp(-1j * (2 * np.pi * (k0 * np.arange(n) % n) / n + tone.phase))
+    want = demodulate(d_t, exact, tone.amp)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    # tone_carrier forms the phase 2*pi*f*t + phase in floats, which is off by
+    # a few ulps of its largest value, 2*pi*1500 rad; that roundoff, not the
+    # shift, is the whole difference from the public stages
+    public = demodulate(d_t, tone_carrier(clock, tone), tone.amp)
+    phase_ulps = 4 * np.finfo(float).eps * (2 * np.pi * tone.offset_hz * clock.duration_s)
+    assert np.max(np.abs(got - public)) <= phase_ulps * scale
