@@ -15,6 +15,7 @@ and it carries a strong 4th harmonic, which is what turns rotation rates of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,14 +147,18 @@ def check_rate(f_p: float, clock: SampleClock) -> None:
 
 
 def check_snr(snr_db: float) -> None:
-    """Reject an SNR whose power ratio 10**(snr_db/10) is not a positive finite float."""
+    """Reject an SNR whose power ratio 10**(snr_db/10) is not a normal finite float.
+
+    A subnormal ratio (snr_db below about -3076.5) would overflow the noise
+    power it divides.
+    """
     try:
         ratio = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         ratio = math.inf
-    if not 0.0 < ratio < math.inf:
+    if not sys.float_info.min <= ratio < math.inf:
         raise ValueError(
-            f"snr_db {snr_db} is out of range: 10**(snr_db/10) must be a positive finite float"
+            f"snr_db {snr_db} is out of range: 10**(snr_db/10) must be a normal finite float"
         )
 
 

@@ -9,13 +9,14 @@ ringing, band-limited estimate cannot blow up the quotient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelConfig, eval_modulator
 from .errors import ToneAbsentError
-from .signals import SampleBuffer, SampleClock, ToneParams
+from .signals import SampleBuffer, SampleClock, ToneParams, check_finite
 from .spectral import BandSpec, Spectrum, bandpass_window, dft_bins, dft_twiddles, inverse_fft
 
 # a tone band this far below the capture's energy holds only FFT roundoff
@@ -88,16 +89,36 @@ def regularized_divide(
 ) -> np.ndarray:
     """s * conj(g) / max(|g|^2, floor^2) with floor = eps_rel * max |g|.
 
-    ``out`` (complex, may be ``g`` itself) and ``mag`` (real) are optional
-    work buffers shaped like ``g``; a sweep passes the same ones to every run.
+    The one |g| pass the floor needs also checks the estimate: a NaN or an
+    infinity in ``g`` makes max |g| non-finite, and a finite ``g`` carries
+    energy exactly when max |g| > 0, so ``g`` is not scanned again unless
+    one of those tests fails. The quotient itself is not checked, and its
+    overflows raise no warning: the caller rejects a non-finite one. ``out``
+    (complex, may be ``g`` itself) and ``mag`` (real) are optional work
+    buffers shaped like ``g``; a sweep passes the same ones to every run.
+
+    Raises:
+        ValueError: ``g`` is not finite or carries no energy.
     """
-    mag = np.abs(g, out=mag)
-    floor_sq = (eps_rel * float(np.max(mag))) ** 2
-    np.square(mag, out=mag)
-    np.maximum(mag, floor_sq, out=mag)
-    out = np.conjugate(g, out=out)
-    out *= s
-    out /= mag
+    with np.errstate(all="ignore"):
+        mag = np.abs(g, out=mag)
+        peak = float(np.max(mag))
+        if not peak < math.inf:
+            check_finite(g, "g_hat")  # |g| can also overflow on a finite g
+        if not peak / mag.size > 0:
+            check_estimate(g)  # the mean of |g| underflows to 0 only below this
+        try:
+            floor_sq = (eps_rel * peak) ** 2
+        except OverflowError:
+            floor_sq = math.inf  # numpy's value, where a float power raises
+        np.square(mag, out=mag)
+        np.maximum(mag, floor_sq, out=mag)
+        # numpy divides by the complex c + 0j as a * (1/c), so this multiply
+        # gives the quotient bit for bit
+        np.reciprocal(mag, out=mag)
+        out = np.conjugate(g, out=out)
+        out *= s
+        out *= mag
     return out
 
 

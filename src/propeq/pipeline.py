@@ -21,10 +21,17 @@ bins to baseband before its IFFT, so no carrier is multiplied in. The raw
 DDM is read from the received signal-band bins directly. Each thread runs
 into its own ``Workspace`` of full-length buffers, so a run allocates no
 full-length array of its own.
+
+A run makes no full-length pass for its checks alone. The divider's one
+|g_hat| pass, which sets the floor, also rejects a g_hat that is not finite
+or carries no energy, and it multiplies by the reciprocal of the floored
+|g_hat|^2. The quotient is checked through its five DDM bins: each bin sums
+every sample, so a non-finite sample makes every bin non-finite.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -34,7 +41,6 @@ import numpy as np
 from .channel import check_seed, eval_modulator, modulator_spectrum, noise_scale, unit_noise
 from .equalizer import (
     CRITICAL_FREQS,
-    check_estimate,
     flag_blind_spots,
     regularized_divide,
     tone_absent,
@@ -165,12 +171,15 @@ class Pipeline:
         """(ddm_raw, ddm_eq) of one run."""
         signal, tone = self._receive(mod, noise)
         ddm_raw = compute_ddm(self._amplitudes(np.append(signal, 0)[self._ddm_pos]))
-        q = self._equalize(mod, noise, signal, tone, work)
-        return ddm_raw, compute_ddm(self._amplitudes(dft_bins(self._ddm_twiddles, q)))
+        bins = dft_bins(self._ddm_twiddles, self._equalize(mod, noise, signal, tone, work))
+        # every sample enters every bin, so a non-finite sample shows here
+        check_finite(bins, "equalized samples")
+        return ddm_raw, compute_ddm(self._amplitudes(bins))
 
     def equalized(self, mod: Modulated, noise: Noise | None) -> SampleBuffer:
         """The equalized capture of one run."""
         q = self._equalize(mod, noise, *self._receive(mod, noise), self.workspace())
+        check_finite(q, "equalized samples")
         return SampleBuffer(self.cfg.clock, q)
 
     def _amplitudes(self, bins: np.ndarray):
@@ -194,23 +203,26 @@ class Pipeline:
         tone: np.ndarray,
         work: Workspace,
     ) -> np.ndarray:
-        cfg = self.cfg
-        band_energy = float(np.sum(np.abs(tone) ** 2))
-        # ||S + scale*W|| <= ||S|| + scale*||W||; redraw the noise only when
-        # that bound cannot decide
-        seed, noise_norm = (None, 0.0) if noise is None else (noise.seed, noise.norm)
-        bound = (mod.norm + mod.scale * noise_norm) ** 2
-        if tone_band_empty(band_energy, bound) and tone_band_empty(
-            band_energy, float(np.sum(np.abs(self.rx_spectrum(mod, seed).bins) ** 2))
-        ):
-            raise tone_absent(cfg.tone_band)
+        """The quotient of one run, not yet checked to be finite."""
+        self._check_tone_energy(mod, noise, tone)
         g = self._tone_ifft(tone * self._tone_gain, work.g)
-        check_finite(g, "g_hat")
-        check_estimate(g)
         s = self._signal_ifft(signal, work.s)
-        q = regularized_divide(s, g, cfg.reg.eps_rel, work.g, work.mag)
-        check_finite(q, "equalized samples")
-        return q
+        return regularized_divide(s, g, self.cfg.reg.eps_rel, work.g, work.mag)
+
+    def _check_tone_energy(self, mod: Modulated, noise: Noise | None, tone: np.ndarray) -> None:
+        # ||S + scale*W|| <= ||S|| + scale*||W||; redraw the noise only when
+        # that bound cannot decide. A capture can be so loud that its energy
+        # overflows, and then nothing is decided.
+        seed, noise_norm = (None, 0.0) if noise is None else (noise.seed, noise.norm)
+        with np.errstate(over="ignore"):
+            band_energy = float(np.sum(np.abs(tone) ** 2))
+            if not tone_band_empty(band_energy, (mod.norm + mod.scale * noise_norm) ** 2):
+                return
+            total = float(np.sum(np.abs(self.rx_spectrum(mod, seed).bins) ** 2))
+        if not total < math.inf:
+            raise ValueError("received energy must be finite")
+        if tone_band_empty(band_energy, total):
+            raise tone_absent(self.cfg.tone_band)
 
 
 def sweep(

@@ -50,7 +50,7 @@ class SampleClock:
 
 def check_finite(arr: np.ndarray, what: str) -> None:
     """Reject an array holding an infinity or a NaN."""
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
 
 

@@ -211,12 +211,14 @@ def dft_twiddles(clock: SampleClock, freqs: tuple[float, ...]) -> tuple[np.ndarr
 def dft_bins(twiddles: tuple[np.ndarray, ...], samples: np.ndarray) -> np.ndarray:
     """The DFT of ``samples`` at the bins of ``twiddles`` (see ``dft_twiddles``).
 
-    Equals ``np.fft.fft(samples)`` at those bins to roundoff. Each bin folds
-    the capture onto one twiddle period and takes a P-point dot product, so
-    reading a few bins costs far less than a full FFT.
+    Equals ``np.fft.fft(samples)`` at those bins to roundoff. The capture is
+    folded onto each distinct twiddle period once (the +-90 Hz bins share
+    one fold on the default clock, as do the +-150 Hz bins), and each bin
+    takes a P-point dot product with its fold, so reading a few bins costs
+    far less than a full FFT. Every sample enters every bin, so a NaN or an
+    infinity among the samples makes every bin non-finite.
     """
+    folds = {p: samples.reshape(-1, p).sum(axis=0) for p in {len(tw) for tw in twiddles}}
     # einsum, not BLAS: its fixed summation order keeps serial and threaded
     # runs bit-identical
-    return np.array(
-        [np.einsum("p,p->", samples.reshape(-1, len(tw)).sum(axis=0), tw) for tw in twiddles]
-    )
+    return np.array([np.einsum("p,p->", folds[len(tw)], tw) for tw in twiddles])

@@ -140,6 +140,8 @@ _SQUARE = {"kind": "square", "duty": 0.3, "lo": 0.5, "hi": 1.0}
 _NYQUIST_SWEEP = {"clock": {"rate_hz": 6400.0, "n_samples": 6400}}
 # the default scenario run with `--snr-db <value>`, one distinct config per value
 _SNR_FLAG = {value: {} for value in ("4000", "-4000", "inf", "-inf", "nan")}
+# the same for SNRs whose power ratio is a subnormal float
+_SUBNORMAL_SNR_FLAG = {value: {} for value in ("-3080", "-3200")}
 
 
 @pytest.mark.parametrize(
@@ -180,6 +182,8 @@ _SNR_FLAG = {value: {} for value in ("4000", "-4000", "inf", "-inf", "nan")}
         # SNRs whose power ratio overflows, underflows to 0 or is not a number
         *((config, f"snr_db {float(value)} is out of range") for value, config in _SNR_FLAG.items()),
         ({"channel": {"snr_db": -4000}}, "snr_db -4000.0 is out of range"),
+        *((config, f"snr_db {float(value)} is out of range")
+          for value, config in _SUBNORMAL_SNR_FLAG.items()),
     ],
 )
 def test_impossible_config_is_rejected_at_construction(tmp_path, capsys, config, message):
@@ -189,11 +193,33 @@ def test_impossible_config_is_rejected_at_construction(tmp_path, capsys, config,
     if config is _NYQUIST_SWEEP:
         command = ["sweep", "--fp-start", "3000", "--fp-stop", "3200", "--fp-step", "100",
                    "--out", str(tmp_path / "never.csv")]
-    command += [f"--snr-db={v}" for v, flagged in _SNR_FLAG.items() if config is flagged]
+    flags = {**_SNR_FLAG, **_SUBNORMAL_SNR_FLAG}
+    command += [f"--snr-db={v}" for v, flagged in flags.items() if config is flagged]
     assert main([*command, "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("propeq: config error:") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("snr_db", ["-3000", "-3076"])
+def test_overflowing_received_energy_is_one_config_error(capsys, snr_db):
+    # a normal power ratio, yet the noise is so loud that the capture's
+    # energy overflows; no warning may reach the user either
+    assert main(["simulate", f"--snr-db={snr_db}"]) == 1
+    err = capsys.readouterr().err
+    assert err == "propeq: config error: received energy must be finite\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_regularization_floor_is_one_pipeline_error(tmp_path, capsys):
+    # the noise fills the band of a 1e-200 V tone, so g_hat is about 1e200
+    # and its squared floor overflows: every quotient sample reads 0
+    path = tmp_path / "faint_tone.json"
+    path.write_text(json.dumps({"tone": {"amp": 1e-200}}))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("propeq: pipeline error: carrier lost") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

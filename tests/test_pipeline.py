@@ -237,3 +237,57 @@ def test_sweep_runs_make_two_short_inverse_transforms(inverse_lengths):
 def test_simulate_makes_two_short_inverse_transforms(inverse_lengths):
     simulate(default_scenario())
     assert inverse_lengths == [640, 640]
+
+
+def _setting(value, alone=False):
+    """A corruption that writes ``value`` into one sample, zeroing the rest if ``alone``."""
+    def corrupt(x):
+        if alone:
+            x[:] = 0
+        x[7] = value
+    return corrupt
+
+
+_G_NAN = "g_hat must be finite"
+_G_EMPTY = "g_hat must carry energy"
+_Q_NAN = "equalized samples must be finite"
+
+# a corrupted band IFFT: the plan, the corruption, and the error the run reports
+_INJECTED = {
+    "g_nan": ("_tone_ifft", _setting(np.nan), _G_NAN),
+    "g_inf": ("_tone_ifft", _setting(np.inf), _G_NAN),
+    "g_imag_inf": ("_tone_ifft", _setting(complex(0.0, -np.inf)), _G_NAN),
+    "g_zero": ("_tone_ifft", _setting(0.0, alone=True), _G_EMPTY),
+    # the mean of |g_hat| underflows to 0
+    "g_subnormal": ("_tone_ifft", _setting(5e-324, alone=True), _G_EMPTY),
+    # the floor underflows to 0, so the zero samples divide by 0
+    "g_tiny": ("_tone_ifft", _setting(1e-300, alone=True), _Q_NAN),
+    # a finite sample whose |g_hat| overflows: the floor is infinite, and the
+    # sample's own product overflows to NaN
+    "g_huge": ("_tone_ifft", _setting(1e308 * (1.5 + 1.5j)), _Q_NAN),
+    "s_inf": ("_signal_ifft", _setting(np.inf), _Q_NAN),
+    "s_nan": ("_signal_ifft", _setting(np.nan), _Q_NAN),
+}
+
+
+@pytest.mark.filterwarnings("error")  # the error is the only thing reported
+@pytest.mark.parametrize("path", ["run", "equalized"])
+@pytest.mark.parametrize("case", _INJECTED)
+def test_corrupt_band_ifft_keeps_its_error(monkeypatch, case, path):
+    attr, corrupt, message = _INJECTED[case]
+    pipe = Pipeline(default_scenario())
+    plan = getattr(pipe, attr)
+
+    def corrupted(bins, out):
+        corrupt(plan(bins, out))
+        return out
+
+    monkeypatch.setattr(pipe, attr, corrupted)
+    mod, noise = pipe.modulate(), pipe.noise(0)
+    with pytest.raises(ValueError) as exc:
+        if path == "run":
+            pipe.run(mod, noise, pipe.workspace())
+        else:
+            pipe.equalized(mod, noise)
+    assert exc.type is ValueError
+    assert str(exc.value) == message

@@ -4,6 +4,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -33,3 +35,14 @@ def test_dump_stage_spectra_script(monkeypatch, tmp_path):
     )
     for name in ("modulator.csv", "rx.csv", "equalized.csv"):
         assert (tmp_path / name).read_text().startswith("freq_hz,re,im,mag_db")
+
+
+def test_bench_script_summarizes_repeats():
+    bench = runpy.run_path(str(SCRIPTS / "bench.py"))
+    got = bench["summary"]([5.0, 1.0, 4.0, 2.0, 3.0])
+    assert (got["q1"], got["median"], got["q3"]) == (2.0, 3.0, 4.0)
+    assert got["runs"] == [5.0, 1.0, 4.0, 2.0, 3.0]
+    # fewer than five repeats is refused before anything runs
+    with pytest.raises(SystemExit) as exc:
+        bench["main"](["7", "--repeats", "4"])
+    assert exc.value.code == 2
