@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Write BENCH_<n>.json: the end-to-end benchmark metrics of this checkout.
 
-    python scripts/bench.py 6 [--repeats 5] [--seconds 30] [--workloads NAME ...]
+    python scripts/bench.py 6
 
-Runs ``perfbench/run.py --trace 0`` of this checkout ``--repeats`` times per
-workload (workload seeds 1, 2, ...), each in a fresh interpreter; the
-workloads take turns, so drift of the host spreads over all of them. The
-workloads and the default run length are those of ``BENCHMARK.json``.
+Runs ``perfbench/run.py --trace 0`` of this checkout 5 times per workload
+(workload seeds 1 to 5), each in a fresh interpreter; the workloads take
+turns, so drift of the host spreads over all of them. The workloads and the
+run length are those of ``BENCHMARK.json``, so BENCH files compare.
 ``BENCH_<n>.json`` in the repository root then holds, per workload and
 metric, the median and the first and third quartiles over the repeats, every
 repeat's value, the failed operations, the numpy version, the core count, the
@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MIN_REPEATS = 5
+REPEATS = 5
 
 
 def run_once(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -55,21 +55,17 @@ def main(argv: list[str] | None = None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("n", type=int, help="the number in the BENCH_<n>.json file name")
-    ap.add_argument("--repeats", type=int, default=MIN_REPEATS)
-    ap.add_argument("--seconds", type=float, default=declared["run_seconds"])
-    ap.add_argument("--workloads", nargs="+",
-                    default=[w["name"] for w in declared["workloads"]])
     args = ap.parse_args(argv)
-    if args.repeats < MIN_REPEATS:
-        ap.error(f"--repeats must be at least {MIN_REPEATS}")
+    seconds = declared["run_seconds"]
+    seeds = list(range(1, REPEATS + 1))
 
     commit = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    results: dict[str, list[dict]] = {w: [] for w in args.workloads}
+    results: dict[str, list[dict]] = {w["name"]: [] for w in declared["workloads"]}
     env: dict = {}
-    for seed in range(1, args.repeats + 1):
-        for workload in args.workloads:
-            env, result = run_once(workload, seed, args.seconds)
+    for seed in seeds:
+        for workload in results:
+            env, result = run_once(workload, seed, seconds)
             results[workload].append(result)
             wall = result["metrics"]["wall_s"]["value"]
             print(f"{workload} seed {seed}: wall_s {wall:.4g}, failed {result['failed']}",
@@ -93,9 +89,9 @@ def main(argv: list[str] | None = None) -> int:
         "python": env["python"],
         "cpu_count": env["cpu_count"],
         "cpu_model": env["cpu_model"],
-        "repeats": args.repeats,
-        "seconds": args.seconds,
-        "seeds": list(range(1, args.repeats + 1)),
+        "repeats": REPEATS,
+        "seconds": seconds,
+        "seeds": seeds,
         "workloads": workloads,
     }
     out = ROOT / f"BENCH_{args.n}.json"

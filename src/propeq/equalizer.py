@@ -107,10 +107,7 @@ def regularized_divide(
             check_finite(g, "g_hat")  # |g| can also overflow on a finite g
         if not peak / mag.size > 0:
             check_estimate(g)  # the mean of |g| underflows to 0 only below this
-        try:
-            floor_sq = (eps_rel * peak) ** 2
-        except OverflowError:
-            floor_sq = math.inf  # numpy's value, where a float power raises
+        floor_sq = np.float64(eps_rel * peak) ** 2
         np.square(mag, out=mag)
         np.maximum(mag, floor_sq, out=mag)
         # numpy divides by the complex c + 0j as a * (1/c), so this multiply

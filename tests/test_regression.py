@@ -12,7 +12,8 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.csv"
 
 # |ddm_eq - truth| of the noiseless default scenario at 15, 15.5, ..., 40 Hz.
 # The regularized divider cannot do better, because the tone band truncates
-# the modulator estimate; an equalizer change may lower these, never raise them.
+# the modulator estimate; an equalizer change may lower these, never raise them
+# beyond FLOOR_ROUNDOFF, the drift the golden check also tolerates.
 NOISELESS_FLOOR = (
     0.0035549220742377707, 0.0006714511766816866, 0.00280708844428898, 0.0007450540687043983,
     0.0009850159474834308, 0.00013623504223128635, 0.0017905570347990507, 0.0009076122923508123,
@@ -28,6 +29,7 @@ NOISELESS_FLOOR = (
     0.0016195684393874865, 0.0036143079730690253, 0.002902844167324392, 0.0025333909719366665,
     0.0026367545205253085, 0.0025188957006465618, 0.008676097582749287,
 )
+FLOOR_ROUNDOFF = 1e-12
 
 
 def test_default_sweep_matches_the_golden_table():
@@ -46,5 +48,6 @@ def test_noiseless_divider_floor_does_not_rise():
     sweep = sweep_fp(cfg, 15.0, 40.0, 0.5, seeds=[0])
     assert len(sweep.results) == len(NOISELESS_FLOOR)
     rises = [(r.f_p_hz, r.dev_eq, bound)
-             for r, bound in zip(sweep.results, NOISELESS_FLOOR) if not r.dev_eq <= bound]
+             for r, bound in zip(sweep.results, NOISELESS_FLOOR)
+             if not r.dev_eq <= bound + FLOOR_ROUNDOFF]
     assert not rises, f"(f_p, dev_eq, floor) above the pinned floor: {rises}"
