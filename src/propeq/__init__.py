@@ -13,17 +13,10 @@ from .channel import (
     PropellerModel,
     SineRipple,
     SquareWave,
-    apply_channel,
     eval_modulator,
     modulator_spectrum,
 )
-from .equalizer import (
-    DopplerEstimate,
-    RegPolicy,
-    equalize,
-    extract_doppler,
-    predict_blind_spots,
-)
+from .equalizer import RegPolicy, predict_blind_spots
 from .errors import CarrierLostError, PipelineError, ToneAbsentError
 from .harness import (
     FpSummary,
@@ -44,24 +37,21 @@ from .harness import (
     simulate,
     sweep_fp,
 )
-from .metrics import ToneAmplitudes, compute_ddm, ddm_deviation, estimate_amplitudes
+from .metrics import ToneAmplitudes, compute_ddm
 from .signals import (
     IlsParams,
     SampleBuffer,
     SampleClock,
     ToneParams,
-    combine,
     synth_ils,
     synth_tone,
 )
 from .spectral import (
     BandSpec,
     Spectrum,
-    bandpass_window,
     bin_index,
     folded_frequencies,
     forward_fft,
-    inverse_fft,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +61,6 @@ __all__ = [
     "CarrierLostError",
     "ChannelConfig",
     "CustomCycle",
-    "DopplerEstimate",
     "FpSummary",
     "IlsParams",
     "PipelineError",
@@ -88,24 +77,16 @@ __all__ = [
     "ToneAbsentError",
     "ToneAmplitudes",
     "ToneParams",
-    "apply_channel",
-    "bandpass_window",
     "bin_index",
-    "combine",
     "compute_ddm",
-    "ddm_deviation",
     "default_scenario",
     "dump_spectrum",
     "emit_csv",
     "emit_plot",
-    "equalize",
-    "estimate_amplitudes",
     "eval_modulator",
-    "extract_doppler",
     "folded_frequencies",
     "forward_fft",
     "fp_grid",
-    "inverse_fft",
     "load_config",
     "load_sweep_csv",
     "modulator_spectrum",

@@ -4,7 +4,8 @@ Each propeller contributes a periodic real gain g evaluated once per output
 sample; the aggregate modulator is the coefficient-weighted sum over
 propellers, with coefficients normalized so an all-unity g stays unit gain.
 Reception multiplies the transmit buffer by the aggregate gain and then adds
-seeded complex circular Gaussian noise at a configured SNR.
+seeded complex circular Gaussian noise at a configured SNR (the engine in
+``pipeline`` adds it in the frequency domain).
 
 The default square-wave shape (duty 0.3, levels 0.5/1.0) is strictly
 positive, so dividing by its band-limited estimate stays well conditioned,
@@ -181,8 +182,13 @@ def eval_modulator(cfg: ChannelConfig, clock: SampleClock) -> SampleBuffer:
 
 
 def noise_scale(clean: np.ndarray, snr_db: float) -> float:
-    """Per-component noise deviation: P_noise = mean(|clean|^2) / 10^(snr_db/10)."""
-    p_sig = float(np.mean(np.abs(clean) ** 2))
+    """Per-component noise deviation: P_noise = mean(|clean|^2) / 10^(snr_db/10).
+
+    A capture too loud for its power to be a float gives an infinite scale,
+    which the caller rejects, not an overflow warning.
+    """
+    with np.errstate(over="ignore"):
+        p_sig = float(np.mean(np.abs(clean) ** 2))
     p_noise = p_sig / 10.0 ** (snr_db / 10.0)
     return np.sqrt(p_noise / 2.0)
 
@@ -191,20 +197,6 @@ def unit_noise(seed: int, n: int) -> np.ndarray:
     """The seed's complex Gaussian noise with unit variance per component."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def apply_channel(tx: SampleBuffer, cfg: ChannelConfig) -> SampleBuffer:
-    """Modulate ``tx`` by the aggregate gain, then add seeded AWGN.
-
-    Noise power is set relative to the post-modulation signal power:
-    P_noise = mean(|tx*m|^2) / 10^(snr_db/10). With ``snr_db`` None the
-    channel is noiseless and the output is exactly tx*m.
-    """
-    m = eval_modulator(cfg, tx.clock)
-    rx = tx.samples * m.samples.real
-    if cfg.snr_db is not None:
-        rx = rx + noise_scale(rx, cfg.snr_db) * unit_noise(cfg.rng_seed, tx.clock.n_samples)
-    return SampleBuffer(tx.clock, rx)
 
 
 def modulator_spectrum(cfg: ChannelConfig, clock: SampleClock) -> Spectrum:

@@ -23,7 +23,6 @@ from .harness import (
     scenario_with,
     simulate,
     sweep_fp,
-    SweepResult,
 )
 from .pipeline import STAGES, stage_spectra
 
@@ -111,16 +110,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _annotate_blind_spots(sweep: SweepResult) -> None:
-    for s in sweep.summaries:
-        if s.flagged_freqs:
-            freqs = ", ".join(f"{f:g} Hz" for f in s.flagged_freqs)
-            print(
-                f"note: f_p = {s.f_p_hz:g} Hz is an equalization blind spot "
-                f"(modulator component at {freqs}); equalization may underperform"
-            )
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds <= 0:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
@@ -140,7 +129,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.plot:
         emit_plot(sweep, args.plot)
         print(f"wrote plot to {args.plot}")
-    _annotate_blind_spots(sweep)
+    print(f"{'f_p (Hz)':>9} {'med dev raw':>12} {'med dev eq':>12}  note")
+    for s in sweep.summaries:
+        note = ""
+        if s.flagged_freqs:
+            freqs = ", ".join(f"{f:g} Hz" for f in s.flagged_freqs)
+            note = f"blind spot (modulator component at {freqs}); equalization may underperform"
+        print(f"{s.f_p_hz:9g} {s.median_dev_raw:12.3e} {s.median_dev_eq:12.3e}  {note}".rstrip())
     return 0
 
 

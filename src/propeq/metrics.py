@@ -1,10 +1,11 @@
-"""ILS tone amplitude estimation, DDM, and DDM deviation.
+"""ILS tone amplitude estimation and DDM.
 
 Amplitudes are read from exact DFT bins, no neighborhood summation: on the
 default clock every tone is an integer bin, and any leakage into those bins
 caused by channel modulation is precisely the impairment being measured, so
 the estimator must not smooth it away. Only the five bins in ``DDM_FREQS``
-are needed, so they are computed directly rather than by a full FFT.
+are needed, so the engine computes them directly (``spectral.dft_bins``)
+rather than by a full FFT.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierLostError
-from .signals import SampleBuffer
-from .spectral import dft_bins, dft_twiddles
 
 _CARRIER_FLOOR = 1e-12
 
@@ -50,21 +49,8 @@ def amplitudes_from_bins(bins: np.ndarray, n: int) -> ToneAmplitudes:
     )
 
 
-def estimate_amplitudes(buf: SampleBuffer) -> ToneAmplitudes:
-    """Bin-exact amplitude estimates of a capture (see ``amplitudes_from_bins``)."""
-    twiddles = dft_twiddles(buf.clock, DDM_FREQS)
-    return amplitudes_from_bins(dft_bins(twiddles, buf.samples), buf.clock.n_samples)
-
-
 def compute_ddm(amps: ToneAmplitudes) -> float:
     """Difference in depth of modulation, (a_90 - a_150) / a_c (unitless)."""
     if amps.a_c <= _CARRIER_FLOOR:
         raise CarrierLostError(f"carrier lost: a_c={amps.a_c} <= {_CARRIER_FLOOR}")
     return (amps.a_90 - amps.a_150) / amps.a_c
-
-
-def ddm_deviation(est: float, truth: float) -> float:
-    """Absolute error of a DDM estimate against the configured truth."""
-    if not (np.isfinite(est) and np.isfinite(truth)):
-        raise ValueError(f"inputs must be finite, got est={est} truth={truth}")
-    return abs(est - truth)

@@ -47,7 +47,7 @@ from .equalizer import (
     tone_band_empty,
 )
 from .metrics import DDM_FREQS, amplitudes_from_bins, compute_ddm
-from .signals import SampleBuffer, check_finite, combine, synth_ils, synth_tone
+from .signals import SampleBuffer, check_finite, synth_ils, synth_tone
 from .spectral import (
     BandIfft,
     Spectrum,
@@ -90,8 +90,10 @@ class Noise:
 
 
 def _norm(bins: np.ndarray) -> float:
-    # not np.linalg.norm: its BLAS threads spin on the other cores between calls
-    return float(np.sqrt(np.sum(np.abs(bins) ** 2)))
+    # not np.linalg.norm: its BLAS threads spin on the other cores between calls.
+    # A norm too large for a float is inf, which the run's checks reject.
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(np.abs(bins) ** 2)))
 
 
 class Workspace:
@@ -111,7 +113,7 @@ class Pipeline:
         self.cfg = cfg
         clock = cfg.clock
         n = clock.n_samples
-        self._tx = combine(synth_ils(cfg.ils, clock), synth_tone(cfg.tone, clock)).samples
+        self._tx = synth_ils(cfg.ils, clock).samples + synth_tone(cfg.tone, clock).samples
         signal = band_offsets(clock, cfg.signal_band)
         tone = band_offsets(clock, cfg.tone_band)
         self._signal_idx = signal % n
@@ -248,7 +250,7 @@ def sweep(
         out = []
         for f_p in chunk:
             mod = pipe.modulate(f_p)
-            flags = flag_blind_spots(mod.critical_bins, CRITICAL_FREQS, rel_threshold)
+            flags = flag_blind_spots(mod.critical_bins, rel_threshold)
             out.append((flags, [pipe.run(mod, n, work) for n in noises]))
         return out
 

@@ -143,10 +143,3 @@ def synth_tone(params: ToneParams, clock: SampleClock) -> SampleBuffer:
     t = clock.times()
     tone = params.amp * np.exp(1j * (2 * np.pi * params.offset_hz * t + params.phase))
     return SampleBuffer(clock, tone)
-
-
-def combine(a: SampleBuffer, b: SampleBuffer) -> SampleBuffer:
-    """Element-wise sum of two buffers on the same clock."""
-    if a.clock != b.clock:
-        raise ValueError(f"clock mismatch: {a.clock} vs {b.clock}")
-    return SampleBuffer(a.clock, a.samples + b.samples)

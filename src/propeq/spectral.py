@@ -1,7 +1,7 @@
 """Capture-window Fourier analysis and brick-wall band windows.
 
 Transform convention: forward FFT is unnormalized, inverse carries 1/N, so
-``inverse_fft(forward_fft(x)) == x`` to roundoff. Bin k of a length-N
+``np.fft.ifft(forward_fft(x).bins) == x`` to roundoff. Bin k of a length-N
 spectrum corresponds to frequency k*(rate/N) folded into (-rate/2, rate/2]
 (the Nyquist bin is reported as +rate/2).
 """
@@ -88,11 +88,6 @@ def forward_fft(buf: SampleBuffer) -> Spectrum:
     return Spectrum(buf.clock, np.fft.fft(buf.samples))
 
 
-def inverse_fft(spec: Spectrum) -> SampleBuffer:
-    """Inverse DFT scaled by 1/N."""
-    return SampleBuffer(spec.clock, np.fft.ifft(spec.bins))
-
-
 def check_band(clock: SampleClock, band: BandSpec) -> None:
     """Reject a band that reaches outside the Nyquist range of ``clock``."""
     nyq = clock.rate_hz / 2.0
@@ -177,18 +172,6 @@ class BandIfft:
             grid[rows] = 0
         np.fft.ifft(grid, axis=0, out=grid)
         return out
-
-
-def bandpass_window(spec: Spectrum, band: BandSpec) -> Spectrum:
-    """Zero every bin whose folded frequency falls outside ``band``.
-
-    The window is single-sided: the mirror band at negative frequencies is
-    not passed unless ``band`` itself covers it.
-    """
-    idx = band_bins(spec.clock, band)
-    out = np.zeros(spec.clock.n_samples, dtype=np.complex128)
-    out[idx] = spec.bins[idx]
-    return Spectrum(spec.clock, out)
 
 
 def dft_twiddles(clock: SampleClock, freqs: tuple[float, ...]) -> tuple[np.ndarray, ...]:

@@ -9,43 +9,36 @@ nothing to remove. See README, "Known limitations".
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from propeq import (
-    BandSpec,
     ChannelConfig,
     CustomCycle,
-    IlsParams,
     PropellerModel,
     SampleBuffer,
+    ScenarioConfig,
     SineRipple,
+    Spectrum,
     SquareWave,
     ToneParams,
-    apply_channel,
-    combine,
-    compute_ddm,
     default_scenario,
     emit_csv,
-    equalize,
-    estimate_amplitudes,
-    extract_doppler,
     folded_frequencies,
     forward_fft,
-    inverse_fft,
     run_single,
     scenario_with,
     sweep_fp,
-    synth_ils,
     synth_tone,
 )
+from propeq.pipeline import Pipeline, stage_spectra
 
+import oracles
 from oracles import rms, square_partial_sum
 
 CLOCK = default_scenario().clock
-SIG_BAND = BandSpec(0.0, 300.0)
-TONE_BAND = BandSpec(1500.0, 300.0)
 
 INTERFERENCE_RATES = (17.0, 20.0, 26.0, 30.0, 36.0)
 BLIND_SPOT_RATES = (22.5, 37.5)
@@ -62,8 +55,6 @@ def speed_sweep():
 
 
 def test_criterion_1_clean_channel_exactness():
-    from propeq import ScenarioConfig
-
     cfg = ScenarioConfig(
         channel=ChannelConfig(
             propellers=(PropellerModel(shape=CustomCycle(gains=(1.0,)), f_p=30.0),),
@@ -86,17 +77,15 @@ def test_criterion_1_clean_channel_exactness():
 
 
 def test_criterion_2_in_band_oracle_equivalence():
+    # the reference chain's estimate against the closed form, and the
+    # engine's equalized DDM against the truth
     channel = ChannelConfig(
         propellers=(PropellerModel(shape=SineRipple(0.5), f_p=25.0),), snr_db=None
     )
-    tone = ToneParams()
-    tx = combine(synth_ils(IlsParams(), CLOCK), synth_tone(tone, CLOCK))
-    spec = forward_fft(apply_channel(tx, channel))
-    dop = extract_doppler(spec, tone, TONE_BAND)
+    cfg = ScenarioConfig(channel=channel)
     truth = 1.0 + 0.5 * np.cos(2 * np.pi * 25.0 * CLOCK.times())
-    g_err = rms(dop.g_hat.samples - truth)
-    ddm = compute_ddm(estimate_amplitudes(equalize(spec, dop, SIG_BAND)))
-    ddm_err = abs(ddm - (-0.2))
+    g_err = rms(oracles.g_hat(cfg, oracles.received(cfg)) - truth)
+    ddm_err = abs(run_single(cfg).ddm_eq - (-0.2))
     ok = g_err <= 1e-8 and ddm_err <= 1e-6
     announce(
         2,
@@ -117,12 +106,11 @@ def test_criterion_3_band_limited_oracle():
         propellers=(PropellerModel(shape=SquareWave(0.25, 0.5, 1.0), f_p=20.0),),
         snr_db=None,
     )
-    tone = ToneParams()
-    rx = apply_channel(synth_tone(tone, CLOCK), channel)
-    dop = extract_doppler(forward_fft(rx), tone, TONE_BAND)
+    cfg = ScenarioConfig(channel=channel)
+    rx = oracles.received(cfg, tx=synth_tone(cfg.tone, CLOCK).samples)
     per = int(CLOCK.rate_hz / 20.0)
     truth = square_partial_sum(CLOCK.times(), 20.0, 0.25, 0.5, 1.0, per, k_max=15)
-    g_err = rms(dop.g_hat.samples - truth)
+    g_err = rms(oracles.g_hat(cfg, rx) - truth)
     ok = g_err <= 1e-6
     announce(
         3,
@@ -189,10 +177,7 @@ def test_criterion_5_blind_spot_reproduction(speed_sweep):
 
 def test_criterion_6_equalization_noise_floor_bounded():
     cfg = scenario_with(default_scenario(), f_p=30.0, snr_db=None)
-    tx = combine(synth_ils(cfg.ils, CLOCK), synth_tone(cfg.tone, CLOCK))
-    spec = forward_fft(apply_channel(tx, cfg.channel))
-    dop = extract_doppler(spec, cfg.tone, cfg.tone_band)
-    eq_spec = forward_fft(equalize(spec, dop, cfg.signal_band, cfg.reg))
+    eq_spec = stage_spectra(cfg, ("equalized",))["equalized"]
     f = folded_frequencies(CLOCK)
     in_band = (f >= -300.0) & (f <= 300.0)
     keep = np.isin(f, (0.0, 90.0, -90.0, 150.0, -150.0))
@@ -216,8 +201,8 @@ def test_criterion_7_property_suites(tmp_path):
     buf = SampleBuffer(
         CLOCK, rng.standard_normal(CLOCK.n_samples) + 1j * rng.standard_normal(CLOCK.n_samples)
     )
-    back = inverse_fft(forward_fft(buf))
-    rt = rms(back.samples - buf.samples) / rms(buf.samples)
+    back = np.fft.ifft(forward_fft(buf).bins)
+    rt = rms(back - buf.samples) / rms(buf.samples)
     checks.append(("fft round trip <=1e-12", rt <= 1e-12, f"{rt:.2e}"))
 
     spec = forward_fft(buf)
@@ -226,32 +211,32 @@ def test_criterion_7_property_suites(tmp_path):
     pv = abs(te - fe) / te
     checks.append(("parseval <=1e-10", pv <= 1e-10, f"{pv:.2e}"))
 
+    # powers from the engine's spectra; Parseval's 1/N^2 cancels in the ratio
     cfg = default_scenario()
-    tx = combine(synth_ils(cfg.ils, CLOCK), synth_tone(cfg.tone, CLOCK))
-    clean = apply_channel(tx, scenario_with(cfg, snr_db=None).channel)
-    noisy = apply_channel(tx, cfg.channel)
-    p_sig = np.mean(np.abs(clean.samples) ** 2)
-    p_noise = np.mean(np.abs(noisy.samples - clean.samples) ** 2)
+    pipe = Pipeline(cfg)
+    mod = pipe.modulate()
+    clean = mod.clean.bins
+    noisy = pipe.rx_spectrum(mod, cfg.channel.rng_seed).bins
+    p_sig = np.mean(np.abs(clean) ** 2)
+    p_noise = np.mean(np.abs(noisy - clean) ** 2)
     awgn_err = abs(10 * np.log10(p_noise / (p_sig / 100.0)))
     checks.append(("awgn calibration +/-0.3 dB", awgn_err < 0.3, f"{awgn_err:.3f} dB"))
 
     sine_channel = ChannelConfig(
         propellers=(PropellerModel(shape=SineRipple(0.4), f_p=25.0),), snr_db=None
     )
-    rx = apply_channel(tx, sine_channel)
+    sine = replace(cfg, channel=sine_channel)
+    pipe = Pipeline(sine)
+    base = pipe.modulate()
+    # a channel gain of 3.7 scales the whole received spectrum
+    k = 3.7
+    scaled = replace(base, clean=Spectrum(CLOCK, k * base.clean.bins), signal=k * base.signal,
+                     tone=k * base.tone, norm=k * base.norm)
+    ddm = pipe.run(base, None, pipe.workspace())[1]
 
-    def eq_ddm(samples, phase=0.0):
-        tone = ToneParams(phase=phase)
-        tx_p = combine(synth_ils(cfg.ils, CLOCK), synth_tone(tone, CLOCK))
-        rx_p = apply_channel(tx_p, sine_channel) if phase != 0.0 else None
-        src = SampleBuffer(CLOCK, samples) if samples is not None else rx_p
-        spec_p = forward_fft(src)
-        dop = extract_doppler(spec_p, tone, TONE_BAND)
-        return compute_ddm(estimate_amplitudes(equalize(spec_p, dop, SIG_BAND)))
-
-    gain_err = abs(eq_ddm(3.7 * rx.samples) - eq_ddm(rx.samples))
+    gain_err = abs(pipe.run(scaled, None, pipe.workspace())[1] - ddm)
     checks.append(("ddm gain invariance <=1e-9", gain_err <= 1e-9, f"{gain_err:.2e}"))
-    phase_err = abs(eq_ddm(None, phase=0.9) - eq_ddm(rx.samples))
+    phase_err = abs(run_single(replace(sine, tone=ToneParams(phase=0.9))).ddm_eq - ddm)
     checks.append(("ddm tone-phase invariance <=1e-9", phase_err <= 1e-9, f"{phase_err:.2e}"))
 
     a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"

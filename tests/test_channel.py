@@ -8,17 +8,17 @@ from propeq import (
     CustomCycle,
     IlsParams,
     PropellerModel,
+    ScenarioConfig,
     SineRipple,
     SquareWave,
     ToneParams,
-    apply_channel,
     bin_index,
-    combine,
     eval_modulator,
     modulator_spectrum,
     synth_ils,
     synth_tone,
 )
+from propeq.pipeline import Pipeline
 
 from oracles import square_cycle_coeff
 
@@ -31,8 +31,12 @@ def one_prop(shape, f_p=30.0, phase=0.0, snr_db=None, rng_seed=0):
     )
 
 
-def default_tx(clock):
-    return combine(synth_ils(IlsParams(), clock), synth_tone(ToneParams(), clock))
+def received(clock, channel):
+    """The engine's clean and noisy received spectra of the default transmission."""
+    pipe = Pipeline(ScenarioConfig(clock=clock, channel=channel))
+    mod = pipe.modulate()
+    seed = None if channel.snr_db is None else channel.rng_seed
+    return mod.clean.bins, pipe.rx_spectrum(mod, seed).bins
 
 
 # ---------------------------------------------------------------------------
@@ -129,32 +133,31 @@ def test_other_shape_validation():
 
 
 def test_identity_channel_exact(clock):
-    tx = default_tx(clock)
-    rx = apply_channel(tx, one_prop(CustomCycle(gains=(1.0,))))
-    assert np.array_equal(rx.samples, tx.samples)
+    _, rx = received(clock, one_prop(CustomCycle(gains=(1.0,))))
+    tx = synth_ils(IlsParams(), clock).samples + synth_tone(ToneParams(), clock).samples
+    assert np.array_equal(rx, np.fft.fft(tx))
 
 
 def test_fixed_seed_is_bit_identical(clock):
-    tx = default_tx(clock)
     cfg = one_prop(SquareWave(), snr_db=20.0, rng_seed=7)
-    a = apply_channel(tx, cfg)
-    b = apply_channel(tx, cfg)
-    assert np.array_equal(a.samples, b.samples)
+    _, a = received(clock, cfg)
+    _, b = received(clock, cfg)
+    assert np.array_equal(a, b)
 
 
 def test_different_seeds_differ(clock):
-    tx = default_tx(clock)
-    a = apply_channel(tx, one_prop(SquareWave(), snr_db=20.0, rng_seed=1))
-    b = apply_channel(tx, one_prop(SquareWave(), snr_db=20.0, rng_seed=2))
-    assert not np.array_equal(a.samples, b.samples)
+    _, a = received(clock, one_prop(SquareWave(), snr_db=20.0, rng_seed=1))
+    _, b = received(clock, one_prop(SquareWave(), snr_db=20.0, rng_seed=2))
+    assert not np.array_equal(a, b)
+
+
+# the powers are read from spectra; Parseval's 1/N^2 cancels in their ratio
 
 
 def test_awgn_power_calibration(clock):
-    tx = default_tx(clock)
-    clean = apply_channel(tx, one_prop(SquareWave()))
-    noisy = apply_channel(tx, one_prop(SquareWave(), snr_db=20.0, rng_seed=0))
-    p_sig = np.mean(np.abs(clean.samples) ** 2)
-    p_noise = np.mean(np.abs(noisy.samples - clean.samples) ** 2)
+    clean, noisy = received(clock, one_prop(SquareWave(), snr_db=20.0, rng_seed=0))
+    p_sig = np.mean(np.abs(clean) ** 2)
+    p_noise = np.mean(np.abs(noisy - clean) ** 2)
     err_db = 10 * np.log10(p_noise / (p_sig / 100.0))
     assert abs(err_db) < 0.3
 
@@ -165,11 +168,9 @@ def test_awgn_power_calibration(clock):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_awgn_calibration_property(clock, snr_db, seed):
-    tx = default_tx(clock)
-    clean = apply_channel(tx, one_prop(SquareWave()))
-    noisy = apply_channel(tx, one_prop(SquareWave(), snr_db=snr_db, rng_seed=seed))
-    p_sig = np.mean(np.abs(clean.samples) ** 2)
-    p_noise = np.mean(np.abs(noisy.samples - clean.samples) ** 2)
+    clean, noisy = received(clock, one_prop(SquareWave(), snr_db=snr_db, rng_seed=seed))
+    p_sig = np.mean(np.abs(clean) ** 2)
+    p_noise = np.mean(np.abs(noisy - clean) ** 2)
     err_db = 10 * np.log10(p_noise / (p_sig / 10 ** (snr_db / 10.0)))
     assert abs(err_db) < 0.3
 

@@ -1,4 +1,5 @@
 import json
+from statistics import median
 
 import pytest
 
@@ -57,8 +58,27 @@ def test_sweep_emits_csv_and_plot(tmp_path, capsys):
     rows = load_sweep_csv(out)
     assert len(rows) == 5 * 2
     assert plot.read_text().startswith("<svg")
-    printed = capsys.readouterr().out
-    assert "f_p = 22.5" in printed and "underperform" in printed
+    printed = capsys.readouterr().out.splitlines()
+    assert any(line.split()[0] == "22.5" and "underperform" in line for line in printed)
+
+
+def test_sweep_prints_the_per_rate_median_table(tmp_path, capsys):
+    out, plot = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+    assert main(["sweep", "--fp-start", "22", "--fp-stop", "23", "--fp-step", "0.5",
+                 "--seeds", "3", "--out", str(out), "--plot", str(plot)]) == 0
+    assert plot.exists()
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index(f"{'f_p (Hz)':>9} {'med dev raw':>12} {'med dev eq':>12}  note")
+    rows = load_sweep_csv(out)
+    table = lines[header + 1:]
+    assert [float(line.split()[0]) for line in table] == [22.0, 22.5, 23.0]
+    for line in table:
+        f_p, raw, eq, *note = line.split()
+        runs = [r for r in rows if r.f_p_hz == float(f_p)]
+        assert raw == f"{median(r.dev_raw for r in runs):.3e}"
+        assert eq == f"{median(r.dev_eq for r in runs):.3e}"
+        # 22.5 Hz puts the chop's 4th harmonic on the 90 Hz tone
+        assert ("blind spot" in line) == (f_p == "22.5")
 
 
 def test_sweep_workers_flag_matches_serial(tmp_path):
@@ -87,6 +107,16 @@ def test_spectrum_stages(tmp_path, stage):
     out = tmp_path / f"{stage}.csv"
     assert main(["spectrum", "--config", cfg, "--stage", stage, "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "freq_hz,re,im,mag_db"
+
+
+def test_spectrum_dumps_every_stage_of_a_noiseless_config(tmp_path):
+    path = tmp_path / "noiseless.json"
+    path.write_text(json.dumps({"channel": {"snr_db": None}}))
+    for stage in ("modulator", "rx", "equalized"):
+        out = tmp_path / f"{stage}.csv"
+        argv = ["spectrum", "--config", str(path), "--stage", stage, "--fp", "30", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().startswith("freq_hz,re,im,mag_db")
 
 
 def test_missing_config_is_exit_1(tmp_path, capsys):
@@ -209,6 +239,23 @@ def test_overflowing_received_energy_is_one_config_error(capsys, snr_db):
     assert main(["simulate", f"--snr-db={snr_db}"]) == 1
     err = capsys.readouterr().err
     assert err == "propeq: config error: received energy must be finite\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # the noise scale is infinite, and so are the noisy received bins
+        ({"ils": {"a_c": 1e160}}, "received bins must be finite"),
+        ({"ils": {"a_c": 1e160}, "channel": {"snr_db": None}}, "received energy must be finite"),
+    ],
+)
+def test_loud_ils_is_one_config_error(tmp_path, capsys, config, message):
+    # the capture's power overflows a float; no overflow warning may reach the user
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"propeq: config error: {message}\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,17 +4,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propeq import (
+    ChannelConfig,
+    CustomCycle,
     IlsParams,
+    PropellerModel,
     SampleBuffer,
     SampleClock,
+    ScenarioConfig,
     ToneParams,
     bin_index,
-    combine,
-    estimate_amplitudes,
     forward_fft,
     synth_ils,
     synth_tone,
 )
+from propeq.metrics import DDM_FREQS, amplitudes_from_bins
+from propeq.pipeline import Pipeline
+from propeq.spectral import dft_bins, dft_twiddles
+
+
+def estimate_amplitudes(buf):
+    """The amplitudes the engine reads from a capture's DDM bins."""
+    bins = dft_bins(dft_twiddles(buf.clock, DDM_FREQS), buf.samples)
+    return amplitudes_from_bins(bins, buf.clock.n_samples)
 
 
 def test_default_clock_has_1hz_bins(clock):
@@ -94,24 +105,15 @@ def test_tone_energy(clock):
     )
 
 
-def test_combine_identity_and_cancellation(small_clock):
-    x = synth_ils(IlsParams(), small_clock)
-    zero = SampleBuffer.zeros(small_clock)
-    assert np.array_equal(combine(x, zero).samples, x.samples)
-    neg = SampleBuffer(small_clock, -x.samples)
-    assert np.all(combine(x, neg).samples == 0.0)
-
-
 def test_combine_support_union(small_clock):
+    # the engine transmits the ILS and the tone together; through a unity
+    # channel its spectrum holds both supports
+    channel = ChannelConfig((PropellerModel(CustomCycle((1.0,))),), snr_db=None)
+    cfg = ScenarioConfig(clock=small_clock, channel=channel)
     ils = synth_ils(IlsParams(), small_clock)
     tone = synth_tone(ToneParams(), small_clock)
-    both = forward_fft(combine(ils, tone)).bins
+    both = Pipeline(cfg).modulate().clean.bins
     assert np.allclose(both, forward_fft(ils).bins + forward_fft(tone).bins, atol=1e-9)
-
-
-def test_combine_clock_mismatch(small_clock, clock):
-    with pytest.raises(ValueError, match="clock mismatch"):
-        combine(synth_ils(IlsParams(), small_clock), synth_ils(IlsParams(), clock))
 
 
 @pytest.mark.parametrize(
