@@ -9,8 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .channel import check_rate
-from .equalizer import predict_blind_spots
+from .equalizer import BLIND_SPOT_THRESHOLD, predict_blind_spots
 from .errors import PipelineError
 from .harness import (
     ScenarioConfig,
@@ -24,7 +23,7 @@ from .harness import (
     simulate,
     sweep_fp,
 )
-from .pipeline import STAGES, stage_spectra
+from .pipeline import STAGES, stage_spectrum
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,7 +61,7 @@ def _build_parser() -> _Parser:
 
     bs = sub.add_parser("blindspots", help="scan the grid for equalization blind spots")
     bs.add_argument("--config", help="JSON scenario config (defaults used if omitted)")
-    bs.add_argument("--threshold", type=float, default=0.01)
+    bs.add_argument("--threshold", type=float, default=BLIND_SPOT_THRESHOLD)
     bs.add_argument("--fp-start", type=float, default=15.0)
     bs.add_argument("--fp-stop", type=float, default=40.0)
     bs.add_argument("--fp-step", type=float, default=0.5)
@@ -113,8 +112,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds <= 0:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-    if args.workers <= 0:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     cfg = _load_scenario(args)
     sweep = sweep_fp(
         cfg,
@@ -143,10 +140,8 @@ def _cmd_blindspots(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
     if not args.threshold > 0:
         raise ValueError(f"--threshold must be > 0, got {args.threshold}")
-    grid = fp_grid(args.fp_start, args.fp_stop, args.fp_step)
-    check_rate(grid[-1], cfg.clock)
     any_flagged = False
-    for fp in grid:
+    for fp in fp_grid(args.fp_start, args.fp_stop, args.fp_step, cfg.clock):
         flagged = predict_blind_spots(
             scenario_with(cfg, f_p=fp).channel, cfg.clock, rel_threshold=args.threshold
         )
@@ -161,7 +156,7 @@ def _cmd_blindspots(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
-    dump_spectrum(stage_spectra(cfg, (args.stage,))[args.stage], args.out)
+    dump_spectrum(stage_spectrum(cfg, args.stage), args.out)
     print(f"wrote {args.stage} spectrum to {args.out}")
     return 0
 

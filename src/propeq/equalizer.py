@@ -23,6 +23,8 @@ from .spectral import BandSpec, dft_bins, dft_twiddles
 _TONE_FLOOR = 1e-24
 
 CRITICAL_FREQS = (90.0, 150.0)
+# a critical frequency is flagged when its modulator bin exceeds this fraction of the DC bin
+BLIND_SPOT_THRESHOLD = 0.01
 
 
 def check_estimate(g_hat: np.ndarray) -> None:
@@ -90,19 +92,28 @@ def regularized_divide(
     return out
 
 
-def flag_blind_spots(bins: np.ndarray, rel_threshold: float) -> tuple[float, ...]:
+def critical_twiddles(clock: SampleClock) -> tuple[np.ndarray, ...]:
+    """The DFT twiddles ``flag_blind_spots`` reads: 0 Hz, then ``CRITICAL_FREQS``."""
+    return dft_twiddles(clock, (0.0, *CRITICAL_FREQS))
+
+
+def flag_blind_spots(
+    twiddles: tuple[np.ndarray, ...], m: np.ndarray, rel_threshold: float = BLIND_SPOT_THRESHOLD
+) -> tuple[float, ...]:
     """Critical frequencies f with |G(f)| > rel_threshold * |G(0)|.
 
-    ``bins`` holds G(0) followed by G at each of ``CRITICAL_FREQS``.
+    G is the DFT of the modulator samples ``m``, read at the bins of
+    ``critical_twiddles``.
     """
     if not rel_threshold > 0:
         raise ValueError(f"rel_threshold must be > 0, got {rel_threshold}")
+    bins = dft_bins(twiddles, m)
     ref = abs(bins[0])
     return tuple(f for f, b in zip(CRITICAL_FREQS, bins[1:]) if abs(b) > rel_threshold * ref)
 
 
 def predict_blind_spots(
-    cfg: ChannelConfig, clock: SampleClock, rel_threshold: float = 0.01
+    cfg: ChannelConfig, clock: SampleClock, rel_threshold: float = BLIND_SPOT_THRESHOLD
 ) -> tuple[float, ...]:
     """Critical frequencies where the modulator itself has spectral content.
 
@@ -111,6 +122,5 @@ def predict_blind_spots(
     energy at f into every signal component, so equalization can interfere
     with the very tones it is meant to protect.
     """
-    twiddles = dft_twiddles(clock, (0.0, *CRITICAL_FREQS))
-    bins = dft_bins(twiddles, eval_modulator(cfg, clock).samples)
-    return flag_blind_spots(bins, rel_threshold)
+    m = eval_modulator(cfg, clock).samples
+    return flag_blind_spots(critical_twiddles(clock), m, rel_threshold)

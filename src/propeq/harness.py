@@ -37,8 +37,6 @@ from .metrics import DDM_FREQS
 from .signals import IlsParams, SampleClock, ToneParams
 from .spectral import BandSpec, Spectrum, bin_index, check_band, folded_frequencies
 
-CSV_HEADER = "f_p_hz,seed,ddm_raw,ddm_eq,dev_raw,dev_eq"
-
 # Default square-wave chop and phase. Duty 0.3 keeps the 3rd/7th harmonics
 # weak (few spurious blind-spot flags on the half-Hz sweep grid) while the
 # 4th harmonic stays strong enough to flag 22.5/37.5 Hz; the phase aligns
@@ -69,17 +67,11 @@ class ScenarioConfig:
             rng_seed=0,
         )
     )
-    signal_band: BandSpec = BandSpec(center_hz=0.0, half_width_hz=300.0)
-    tone_band: BandSpec = BandSpec(center_hz=1500.0, half_width_hz=300.0)
+    signal_half_width_hz: float = 300.0
+    tone_half_width_hz: float = 300.0
     reg: RegPolicy = RegPolicy()
-    true_ddm: float | None = None
 
     def __post_init__(self) -> None:
-        if self.tone_band.center_hz != self.tone.offset_hz:
-            raise ValueError(
-                f"tone_band center {self.tone_band.center_hz} Hz must equal "
-                f"tone offset {self.tone.offset_hz} Hz"
-            )
         if self.signal_band.overlaps(self.tone_band):
             raise ValueError("signal_band and tone_band must be disjoint")
         # tone separation must exceed twice the modulation spread the bands admit
@@ -95,8 +87,16 @@ class ScenarioConfig:
             check_rate(p.f_p, self.clock)
         check_band(self.clock, self.signal_band)
         check_band(self.clock, self.tone_band)
-        if self.true_ddm is None:
-            object.__setattr__(self, "true_ddm", self.ils.ddm)
+
+    @property
+    def signal_band(self) -> BandSpec:
+        """The band around the ILS carrier at 0 Hz."""
+        return BandSpec(0.0, self.signal_half_width_hz)
+
+    @property
+    def tone_band(self) -> BandSpec:
+        """The band around the reference tone."""
+        return BandSpec(self.tone.offset_hz, self.tone_half_width_hz)
 
 
 def default_scenario() -> ScenarioConfig:
@@ -114,6 +114,9 @@ class RunResult:
     ddm_eq: float
     dev_raw: float
     dev_eq: float
+
+
+CSV_HEADER = ",".join(f.name for f in fields(RunResult))
 
 
 @dataclass(frozen=True)
@@ -157,12 +160,11 @@ def _sweep(
     rates: tuple[float | None, ...],
     seeds: list[int],
     workers: int,
-    blind_spot_threshold: float,
 ) -> SweepResult:
-    truth = float(cfg.true_ddm)
+    truth = cfg.ils.ddm
     results: list[RunResult] = []
     summaries = []
-    per_rate = pipeline.sweep(cfg, rates, seeds, workers, blind_spot_threshold)
+    per_rate = pipeline.sweep(cfg, rates, seeds, workers)
     for f_p, (flagged, runs) in zip(rates, per_rate):
         f_p_hz = float(cfg.channel.propellers[0].f_p if f_p is None else f_p)
         chunk = [
@@ -190,7 +192,7 @@ def _sweep(
 
 def simulate(cfg: ScenarioConfig) -> SweepResult:
     """One run of the scenario as configured, with its blind-spot flags."""
-    return _sweep(cfg, (None,), [cfg.channel.rng_seed], 1, 0.01)
+    return _sweep(cfg, (None,), [cfg.channel.rng_seed], 1)
 
 
 def run_single(cfg: ScenarioConfig) -> RunResult:
@@ -204,14 +206,18 @@ def run_single(cfg: ScenarioConfig) -> RunResult:
     return result
 
 
-def fp_grid(fp_start: float, fp_stop: float, fp_step: float) -> tuple[float, ...]:
-    """Inclusive grid with floor((stop-start)/step)+1 points."""
+def fp_grid(
+    fp_start: float, fp_stop: float, fp_step: float, clock: SampleClock
+) -> tuple[float, ...]:
+    """Inclusive grid with floor((stop-start)/step)+1 points, all below half the clock's rate."""
     if not fp_step > 0:
         raise ValueError(f"fp_step must be > 0, got {fp_step}")
     if fp_start > fp_stop:
         raise ValueError(f"fp_start {fp_start} must be <= fp_stop {fp_stop}")
     n = int(np.floor((fp_stop - fp_start) / fp_step + 1e-9)) + 1
-    return tuple(fp_start + i * fp_step for i in range(n))
+    grid = tuple(fp_start + i * fp_step for i in range(n))
+    check_rate(grid[-1], clock)
+    return grid
 
 
 def sweep_fp(
@@ -221,7 +227,6 @@ def sweep_fp(
     fp_step: float,
     seeds: list[int] | tuple[int, ...],
     workers: int = 1,
-    blind_spot_threshold: float = 0.01,
 ) -> SweepResult:
     """Run the pipeline over a rotation-rate grid times a seed list.
 
@@ -232,9 +237,9 @@ def sweep_fp(
     seeds = list(seeds)
     if len(seeds) == 0:
         raise ValueError("seeds must be non-empty")
-    grid = fp_grid(fp_start, fp_stop, fp_step)
-    check_rate(grid[-1], cfg.clock)
-    return _sweep(cfg, grid, seeds, workers, blind_spot_threshold)
+    if not workers >= 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return _sweep(cfg, fp_grid(fp_start, fp_stop, fp_step, cfg.clock), seeds, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +247,10 @@ def sweep_fp(
 
 
 def emit_csv(result: SweepResult, path: str | Path) -> None:
-    """Write one row per run: f_p_hz,seed,ddm_raw,ddm_eq,dev_raw,dev_eq."""
+    """Write ``CSV_HEADER``, then one row per run, each value as its ``repr``."""
     lines = [CSV_HEADER]
     for r in result.results:
-        lines.append(
-            f"{r.f_p_hz!r},{r.seed},{r.ddm_raw!r},{r.ddm_eq!r},{r.dev_raw!r},{r.dev_eq!r}"
-        )
+        lines.append(",".join(repr(getattr(r, name)) for name, _, _ in _fields(RunResult)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -258,19 +261,11 @@ def load_sweep_csv(path: str | Path) -> tuple[RunResult, ...]:
         header = next(reader)
         if ",".join(header) != CSV_HEADER:
             raise ValueError(f"unexpected CSV header in {path}: {header}")
-        out = []
-        for row in reader:
-            out.append(
-                RunResult(
-                    f_p_hz=float(row[0]),
-                    seed=int(row[1]),
-                    ddm_raw=float(row[2]),
-                    ddm_eq=float(row[3]),
-                    dev_raw=float(row[4]),
-                    dev_eq=float(row[5]),
-                )
-            )
-    return tuple(out)
+        spec = _fields(RunResult)
+        return tuple(
+            RunResult(*(tp(v) for (_, tp, _), v in zip(spec, row, strict=True)))
+            for row in reader
+        )
 
 
 def dump_spectrum(spec: Spectrum, path: str | Path) -> None:

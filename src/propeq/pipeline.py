@@ -8,7 +8,7 @@ product once, at the outermost layer it depends on:
   of both bands, their polyphase IFFT plans (``BandIfft``), and the DFT
   twiddles of the DDM and blind-spot bins;
 * per modulator (``Modulated``, one per rotation rate): the modulator,
-  FFT(tx*m), the noise scale and the blind-spot bins;
+  FFT(tx*m), the noise scale and the blind-spot flags;
 * per seed (``Noise``): the unit noise spectrum W. Only its signal-band and
   tone-band bins and its norm are kept, so the engine holds
   O(N + seeds x band bins), not a seeds x N table.
@@ -40,7 +40,7 @@ import numpy as np
 
 from .channel import check_seed, eval_modulator, modulator_spectrum, noise_scale, unit_noise
 from .equalizer import (
-    CRITICAL_FREQS,
+    critical_twiddles,
     flag_blind_spots,
     regularized_divide,
     tone_absent,
@@ -63,9 +63,6 @@ if TYPE_CHECKING:
 
 STAGES = ("modulator", "rx", "equalized")
 
-# where 0 Hz and the blind-spot frequencies sit among the DDM bins
-_CRITICAL_POS = [DDM_FREQS.index(f) for f in (0.0, *CRITICAL_FREQS)]
-
 
 @dataclass(frozen=True)
 class Modulated:
@@ -76,7 +73,7 @@ class Modulated:
     signal: np.ndarray  # clean bins of the signal band
     tone: np.ndarray  # clean bins of the tone band
     norm: float  # ||FFT(tx * m)||
-    critical_bins: np.ndarray  # modulator DFT at 0 Hz and at CRITICAL_FREQS
+    flags: tuple[float, ...]  # the modulator's blind spots
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,11 @@ class Pipeline:
         self.cfg = cfg
         clock = cfg.clock
         n = clock.n_samples
-        self._tx = synth_ils(cfg.ils, clock).samples + synth_tone(cfg.tone, clock).samples
+        # amplitudes near the float limit overflow here and in ``modulate``;
+        # the finiteness checks reject them, so numpy need not warn
+        with np.errstate(over="ignore"):
+            self._tx = synth_ils(cfg.ils, clock).samples + synth_tone(cfg.tone, clock).samples
+        check_finite(self._tx, "transmitted samples")
         signal = band_offsets(clock, cfg.signal_band)
         tone = band_offsets(clock, cfg.tone_band)
         self._signal_idx = signal % n
@@ -131,12 +132,14 @@ class Pipeline:
         pos = {k: j for j, k in enumerate(self._signal_idx)}
         self._ddm_pos = [pos.get(bin_index(clock, f), len(signal)) for f in DDM_FREQS]
         self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
+        self._critical_twiddles = critical_twiddles(clock)
 
     def modulate(self, f_p: float | None = None) -> Modulated:
         """The scenario's modulator, with every propeller at ``f_p`` if given."""
         channel = self.cfg.channel if f_p is None else self.cfg.channel.with_rate(f_p)
-        m = eval_modulator(channel, self.cfg.clock)
-        clean = self._tx * m.samples.real
+        with np.errstate(over="ignore"):
+            m = eval_modulator(channel, self.cfg.clock)
+            clean = self._tx * m.samples.real
         spec = forward_fft(SampleBuffer(self.cfg.clock, clean))
         return Modulated(
             clean=spec,
@@ -144,7 +147,7 @@ class Pipeline:
             signal=spec.bins[self._signal_idx],
             tone=spec.bins[self._tone_idx],
             norm=_norm(spec.bins),
-            critical_bins=dft_bins(self._ddm_twiddles, m.samples)[_CRITICAL_POS],
+            flags=flag_blind_spots(self._critical_twiddles, m.samples),
         )
 
     def noise(self, seed: int) -> Noise | None:
@@ -232,7 +235,6 @@ def sweep(
     rates: Sequence[float | None],
     seeds: Sequence[int],
     workers: int,
-    rel_threshold: float,
 ) -> list[tuple[tuple[float, ...], list[tuple[float, float]]]]:
     """Blind-spot flags and (ddm_raw, ddm_eq) per seed, for each rate in order.
 
@@ -250,11 +252,10 @@ def sweep(
         out = []
         for f_p in chunk:
             mod = pipe.modulate(f_p)
-            flags = flag_blind_spots(mod.critical_bins, rel_threshold)
-            out.append((flags, [pipe.run(mod, n, work) for n in noises]))
+            out.append((mod.flags, [pipe.run(mod, n, work) for n in noises]))
         return out
 
-    k = max(1, min(workers, len(rates)))
+    k = min(workers, len(rates))
     chunks = [rates[len(rates) * i // k : len(rates) * (i + 1) // k] for i in range(k)]
     if k == 1:
         return runs(rates)
@@ -262,21 +263,15 @@ def sweep(
         return [r for part in pool.map(runs, chunks) for r in part]
 
 
-def stage_spectra(cfg: ScenarioConfig, stages: Sequence[str] = STAGES) -> dict[str, Spectrum]:
-    """The modulator, received and equalized spectra of the scenario's run.
-
-    Only the products the requested ``stages`` need are computed.
-    """
-    out = {}
-    if "modulator" in stages:
-        out["modulator"] = modulator_spectrum(cfg.channel, cfg.clock)
-    if "rx" in stages or "equalized" in stages:
-        pipe = Pipeline(cfg)
-        mod = pipe.modulate()
-        seed = cfg.channel.rng_seed
-        if "rx" in stages:
-            noisy = cfg.channel.snr_db is not None
-            out["rx"] = pipe.rx_spectrum(mod, seed if noisy else None)
-        if "equalized" in stages:
-            out["equalized"] = forward_fft(pipe.equalized(mod, pipe.noise(seed)))
-    return {stage: out[stage] for stage in stages}
+def stage_spectrum(cfg: ScenarioConfig, stage: str) -> Spectrum:
+    """The modulator, received or equalized spectrum of the scenario's run."""
+    if stage == "modulator":
+        return modulator_spectrum(cfg.channel, cfg.clock)
+    if stage not in STAGES:
+        raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
+    pipe = Pipeline(cfg)
+    mod = pipe.modulate()
+    seed = cfg.channel.rng_seed
+    if stage == "rx":
+        return pipe.rx_spectrum(mod, None if cfg.channel.snr_db is None else seed)
+    return forward_fft(pipe.equalized(mod, pipe.noise(seed)))

@@ -67,13 +67,13 @@ def folded_frequencies(clock: SampleClock) -> np.ndarray:
     return f
 
 
-def bin_index(clock: SampleClock, freq_hz: float, tol: float = 1e-9) -> int:
+def bin_index(clock: SampleClock, freq_hz: float) -> int:
     """Index of the bin holding ``freq_hz``, required to be an exact bin."""
     ratio = freq_hz / clock.bin_hz
     if not math.isfinite(ratio):
         raise ValueError(f"{freq_hz} Hz is outside the Nyquist range")
     idx = int(round(ratio))
-    if abs(ratio - idx) > tol:
+    if abs(ratio - idx) > 1e-9:  # roundoff slack, in bins
         raise ValueError(
             f"{freq_hz} Hz is not an integer bin at resolution {clock.bin_hz} Hz"
         )
@@ -85,7 +85,10 @@ def bin_index(clock: SampleClock, freq_hz: float, tol: float = 1e-9) -> int:
 
 def forward_fft(buf: SampleBuffer) -> Spectrum:
     """Unnormalized forward DFT of a capture."""
-    return Spectrum(buf.clock, np.fft.fft(buf.samples))
+    # a spectrum that overflows is rejected by Spectrum's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        bins = np.fft.fft(buf.samples)
+    return Spectrum(buf.clock, bins)
 
 
 def check_band(clock: SampleClock, band: BandSpec) -> None:

@@ -9,7 +9,14 @@ no divider of the engine's.
 
 import numpy as np
 
-from propeq import compute_ddm, eval_modulator, folded_frequencies, synth_ils, synth_tone
+from propeq import (
+    BandSpec,
+    compute_ddm,
+    eval_modulator,
+    folded_frequencies,
+    synth_ils,
+    synth_tone,
+)
 from propeq.channel import noise_scale, unit_noise
 from propeq.metrics import DDM_FREQS, amplitudes_from_bins
 
@@ -75,14 +82,15 @@ def g_hat(cfg, bins):
     n, tone = cfg.clock.n_samples, cfg.tone
     k0 = round(tone.offset_hz / cfg.clock.bin_hz)
     carrier = np.exp(-1j * (2 * np.pi * (k0 * np.arange(n) % n) / n + tone.phase))
-    return np.fft.ifft(in_band(bins, cfg.clock, cfg.tone_band)) * carrier / tone.amp
+    band = BandSpec(tone.offset_hz, cfg.tone_half_width_hz)
+    return np.fft.ifft(in_band(bins, cfg.clock, band)) * carrier / tone.amp
 
 
 def equalized(cfg, bins):
     """The signal band divided by g_hat, floored at eps_rel * max|g_hat|."""
     g = g_hat(cfg, bins)
     floor_sq = (cfg.reg.eps_rel * np.abs(g).max()) ** 2
-    s = np.fft.ifft(in_band(bins, cfg.clock, cfg.signal_band))
+    s = np.fft.ifft(in_band(bins, cfg.clock, BandSpec(0.0, cfg.signal_half_width_hz)))
     return s * np.conj(g) / np.maximum(np.abs(g) ** 2, floor_sq)
 
 
@@ -90,5 +98,6 @@ def ddms(cfg):
     """(ddm_raw, ddm_eq) of the scenario's run from full-length DFT bins; raw first."""
     k, n = [round(f / cfg.clock.bin_hz) for f in DDM_FREQS], cfg.clock.n_samples
     bins = received(cfg)
-    raw = compute_ddm(amplitudes_from_bins(in_band(bins, cfg.clock, cfg.signal_band)[k], n))
+    signal = in_band(bins, cfg.clock, BandSpec(0.0, cfg.signal_half_width_hz))
+    raw = compute_ddm(amplitudes_from_bins(signal[k], n))
     return raw, compute_ddm(amplitudes_from_bins(np.fft.fft(equalized(cfg, bins))[k], n))

@@ -33,7 +33,7 @@ from propeq import (
     sweep_fp,
     synth_tone,
 )
-from propeq.pipeline import Pipeline, stage_spectra
+from propeq.pipeline import Pipeline, stage_spectrum
 
 import oracles
 from oracles import rms, square_partial_sum
@@ -177,7 +177,7 @@ def test_criterion_5_blind_spot_reproduction(speed_sweep):
 
 def test_criterion_6_equalization_noise_floor_bounded():
     cfg = scenario_with(default_scenario(), f_p=30.0, snr_db=None)
-    eq_spec = stage_spectra(cfg, ("equalized",))["equalized"]
+    eq_spec = stage_spectrum(cfg, "equalized")
     f = folded_frequencies(CLOCK)
     in_band = (f >= -300.0) & (f <= 300.0)
     keep = np.isin(f, (0.0, 90.0, -90.0, 150.0, -150.0))

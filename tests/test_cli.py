@@ -131,10 +131,22 @@ def test_invalid_config_value_is_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bad_flag_value_is_exit_1(tmp_path):
+def test_bad_flag_value_is_exit_1(tmp_path, capsys):
     cfg = small_config(tmp_path)
-    assert main(["sweep", "--config", cfg, "--seeds", "0",
-                 "--out", str(tmp_path / "x.csv")]) == 1
+    for flag in (["--seeds", "0"], ["--workers", "0"], ["--workers", "-3"]):
+        assert main(["sweep", "--config", cfg, *flag, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("propeq: config error:") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_a_moved_tone_takes_its_band_along(tmp_path):
+    path, out = tmp_path / "tone.json", tmp_path / "run.csv"
+    path.write_text(json.dumps({"tone": {"offset_hz": 1600}}))
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    # the tone band is centred on the moved tone, so the chop is divided out
+    (run,) = load_sweep_csv(out)
+    assert run.dev_eq < run.dev_raw / 10
 
 
 def test_usage_error_is_exit_1():
@@ -188,7 +200,7 @@ _SUBNORMAL_SNR_FLAG = {value: {} for value in ("-3080", "-3200")}
         ({"ils": {"a_90": "x"}}, "ils.a_90 must be a finite number"),
         ({"tone": {"amp": None}}, "tone.amp must be a finite number"),
         ({"reg": {"eps_rel": "0.1"}}, "reg.eps_rel must be a finite number"),
-        ({"signal_band": {"center_hz": "0"}}, "signal_band.center_hz must be a finite number"),
+        ({"signal_half_width_hz": "300"}, "signal_half_width_hz must be a finite number"),
         ({"clock": {"rate_hz": None}}, "clock.rate_hz must be a finite number"),
         ({"channel": {"propellers": [{"shape": {**_SQUARE, "duty": "0.3"}}]}},
          "channel.propellers[0].shape.duty must be a finite number"),
@@ -197,8 +209,7 @@ _SUBNORMAL_SNR_FLAG = {value: {} for value in ("-3080", "-3200")}
         ({"channel": {"snr_db": "20"}}, "channel.snr_db must be a finite number"),
         ({"ils": {"phase_90": [1]}}, "ils.phase_90 must be a finite number"),
         # an off-bin reference tone
-        ({"tone": {"offset_hz": 1500.5}, "tone_band": {"center_hz": 1500.5}},
-         "1500.5 Hz is not an integer bin"),
+        ({"tone": {"offset_hz": 1500.5}}, "1500.5 Hz is not an integer bin"),
         # rotation rates at or beyond half the 32 kHz sample rate
         ({"channel": {"propellers": [{"shape": _SQUARE, "f_p": 20000}]}},
          "below half the sample rate"),
@@ -214,6 +225,9 @@ _SUBNORMAL_SNR_FLAG = {value: {} for value in ("-3080", "-3200")}
         ({"channel": {"snr_db": -4000}}, "snr_db -4000.0 is out of range"),
         *((config, f"snr_db {float(value)} is out of range")
           for value, config in _SUBNORMAL_SNR_FLAG.items()),
+        # the bands' centres follow from the scenario and are not config keys
+        ({"tone_band": {"center_hz": 1500}}, "unknown config keys: ['tone_band']"),
+        ({"signal_half_width_hz": 0}, "half_width_hz must be > 0, got 0.0"),
     ],
 )
 def test_impossible_config_is_rejected_at_construction(tmp_path, capsys, config, message):
@@ -248,6 +262,11 @@ def test_overflowing_received_energy_is_one_config_error(capsys, snr_db):
         # the noise scale is infinite, and so are the noisy received bins
         ({"ils": {"a_c": 1e160}}, "received bins must be finite"),
         ({"ils": {"a_c": 1e160}, "channel": {"snr_db": None}}, "received energy must be finite"),
+        # the transmit sum overflows
+        ({"ils": {"a_c": 1e308, "a_90": 0, "a_150": 0}, "tone": {"amp": 1e308}},
+         "transmitted samples must be finite"),
+        # the transmit is finite, its spectrum is not
+        ({"ils": {"a_c": 1e308}}, "bins must be finite"),
     ],
 )
 def test_loud_ils_is_one_config_error(tmp_path, capsys, config, message):

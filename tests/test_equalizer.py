@@ -41,8 +41,7 @@ def one_prop(shape, f_p=30.0, phase=0.0, snr_db=None, rng_seed=0):
 
 
 def scenario(clock, channel, tone=ToneParams(), reg=RegPolicy()):
-    band = BandSpec(tone.offset_hz, 300.0)
-    return ScenarioConfig(clock=clock, tone=tone, tone_band=band, channel=channel, reg=reg)
+    return ScenarioConfig(clock=clock, tone=tone, channel=channel, reg=reg)
 
 
 def g_hat(cfg, tx=None):

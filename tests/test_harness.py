@@ -66,36 +66,20 @@ def small_scenario(small_clock, **channel_kwargs):
 # scenario construction
 
 
-def test_default_true_ddm_derived():
-    assert default_scenario().true_ddm == pytest.approx(-0.2)
-
-
-def test_true_ddm_override_kept():
-    cfg = dataclasses.replace(default_scenario(), true_ddm=-0.15)
-    assert cfg.true_ddm == -0.15
-
-
-def test_tone_band_center_must_match_tone():
-    with pytest.raises(ValueError, match="tone_band center"):
-        ScenarioConfig(tone_band=BandSpec(1400.0, 300.0))
+def test_bands_are_centred_on_the_carrier_and_the_tone():
+    cfg = ScenarioConfig(tone=ToneParams(offset_hz=1600.0), signal_half_width_hz=120.0)
+    assert cfg.signal_band == BandSpec(0.0, 120.0)
+    assert cfg.tone_band == BandSpec(1600.0, 300.0)
 
 
 def test_bands_must_be_disjoint():
     with pytest.raises(ValueError, match="disjoint"):
-        ScenarioConfig(
-            tone=ToneParams(offset_hz=1500.0),
-            signal_band=BandSpec(0.0, 1300.0),
-            tone_band=BandSpec(1500.0, 300.0),
-        )
+        ScenarioConfig(signal_half_width_hz=1300.0)
 
 
 def test_tone_separation_enforced():
     with pytest.raises(ValueError, match="too close"):
-        ScenarioConfig(
-            tone=ToneParams(offset_hz=500.0),
-            signal_band=BandSpec(0.0, 100.0),
-            tone_band=BandSpec(500.0, 300.0),
-        )
+        ScenarioConfig(tone=ToneParams(offset_hz=500.0), signal_half_width_hz=100.0)
 
 
 def test_scenario_with_overrides():
@@ -125,17 +109,18 @@ def test_run_single_deterministic(small_clock):
 
 
 def test_fp_grid_counts():
-    assert len(fp_grid(15.0, 40.0, 0.5)) == 51
-    assert fp_grid(15.0, 40.0, 0.5)[0] == 15.0
-    assert fp_grid(15.0, 40.0, 0.5)[-1] == 40.0
-    assert fp_grid(20.0, 20.0, 0.5) == (20.0,)
+    clock = SampleClock()
+    assert len(fp_grid(15.0, 40.0, 0.5, clock)) == 51
+    assert fp_grid(15.0, 40.0, 0.5, clock)[0] == 15.0
+    assert fp_grid(15.0, 40.0, 0.5, clock)[-1] == 40.0
+    assert fp_grid(20.0, 20.0, 0.5, clock) == (20.0,)
 
 
 def test_fp_grid_validation():
     with pytest.raises(ValueError):
-        fp_grid(15.0, 40.0, 0.0)
+        fp_grid(15.0, 40.0, 0.0, SampleClock())
     with pytest.raises(ValueError):
-        fp_grid(40.0, 15.0, 0.5)
+        fp_grid(40.0, 15.0, 0.5, SampleClock())
 
 
 def test_sweep_requires_seeds(small_clock):
@@ -187,6 +172,12 @@ def test_sweep_propagates_pipeline_errors(small_clock):
         sweep_fp(blocking, 20.0, 21.0, 0.5, seeds=[0])
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_needs_at_least_one_worker(small_clock, workers):
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        sweep_fp(small_scenario(small_clock), 20.0, 21.0, 0.5, seeds=[0], workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # emitters
 
@@ -200,6 +191,7 @@ def test_csv_format_and_round_trip(small_clock, tmp_path):
     assert len(lines) == 1 + 5 * 3
     back = load_sweep_csv(path)
     assert back == sw.results  # float repr round-trips exactly
+    assert all(type(r.seed) is int for r in back)
 
 
 def test_csv_serial_parallel_identical(small_clock, tmp_path):
@@ -261,7 +253,8 @@ def test_config_file_round_trip(tmp_path):
             snr_db=None,
             rng_seed=5,
         ),
-        true_ddm=-0.25,
+        signal_half_width_hz=120.0,
+        tone_half_width_hz=250.0,
     )
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(scenario_to_dict(cfg)))
@@ -275,7 +268,9 @@ def test_partial_config_uses_defaults(tmp_path):
     assert cfg.ils.a_90 == 0.7
     assert cfg.ils.a_150 == 0.8
     assert cfg.clock == SampleClock()
-    assert cfg.true_ddm == pytest.approx((0.7 - 0.8) / 1.0)
+    # the run is scored against the DDM the ILS amplitudes give
+    run = run_single(cfg)
+    assert run.dev_raw == abs(run.ddm_raw - (0.7 - 0.8) / 1.0)
 
 
 def test_channel_fields_default_to_the_default_channel():
@@ -320,7 +315,7 @@ def test_readme_config_example_is_the_default_scenario():
 
 
 _SCHEMA = (ScenarioConfig, SampleClock, IlsParams, ToneParams, ChannelConfig, PropellerModel,
-           SquareWave, SineRipple, CustomCycle, BandSpec, RegPolicy)
+           SquareWave, SineRipple, CustomCycle, RegPolicy)
 _KEYS = st.sampled_from(
     sorted({f.name for cls in _SCHEMA for f in dataclasses.fields(cls)} | {"kind"})
 )

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from propeq import (
-    BandSpec,
     CarrierLostError,
     ChannelConfig,
     CustomCycle,
@@ -29,7 +28,8 @@ from propeq import (
 )
 from propeq.cli import main
 from propeq.harness import DEFAULT_PROPELLER_PHASE, DEFAULT_SQUARE, simulate
-from propeq.pipeline import STAGES, Pipeline, stage_spectra
+from propeq.equalizer import BLIND_SPOT_THRESHOLD
+from propeq.pipeline import STAGES, Pipeline, stage_spectrum
 
 import oracles
 
@@ -70,8 +70,10 @@ SCENARIOS = {
         SineRipple(0.5),
         f_p=26.0,
         tone=ToneParams(amp=0.5, phase=0.7),
-        signal_band=BandSpec(0.0, 120.0),
+        signal_half_width_hz=120.0,
     ),
+    # a tone moved off the default offset takes its band along
+    "moved_tone": single(SineRipple(0.5), f_p=25.0, tone=ToneParams(offset_hz=1600.0)),
 }
 
 
@@ -101,17 +103,21 @@ def test_sweep_shares_work_without_changing_runs(name):
         assert abs(r.ddm_eq - want[1]) <= DDM_TOL
 
 
-@pytest.mark.parametrize("threshold", [0.01, 0.05])
+@pytest.mark.parametrize("threshold", [BLIND_SPOT_THRESHOLD, 0.05])
 def test_flags_match_predict_blind_spots(threshold):
+    # the sweep's flags and predict_blind_spots at any threshold agree with
+    # a full FFT of the modulator
     cfg = default_scenario()
-    sweep = sweep_fp(cfg, 15.0, 40.0, 0.5, seeds=[0], blind_spot_threshold=threshold)
+    sweep = sweep_fp(cfg, 15.0, 40.0, 0.5, seeds=[0])
     for s in sweep.summaries:
         channel = scenario_with(cfg, f_p=s.f_p_hz).channel
-        assert s.flagged_freqs == predict_blind_spots(channel, cfg.clock, rel_threshold=threshold)
-        # and the direct-DFT bins agree with a full FFT of the modulator
         bins = modulator_spectrum(channel, cfg.clock).bins
-        full = tuple(f for f in (90.0, 150.0) if abs(bins[int(f)]) > threshold * abs(bins[0]))
-        assert s.flagged_freqs == full
+
+        def full(t):
+            return tuple(f for f in (90.0, 150.0) if abs(bins[int(f)]) > t * abs(bins[0]))
+
+        assert s.flagged_freqs == full(BLIND_SPOT_THRESHOLD)
+        assert predict_blind_spots(channel, cfg.clock, rel_threshold=threshold) == full(threshold)
 
 
 def test_blocking_channel_loses_the_carrier_before_the_tone():
@@ -140,10 +146,12 @@ def test_stage_spectra_match_composed_stages():
         "rx": rx,
         "equalized": np.fft.fft(oracles.equalized(cfg, rx)),
     }
-    got = stage_spectra(cfg)
-    assert tuple(got) == STAGES
+    assert tuple(want) == STAGES
     for stage in STAGES:
-        np.testing.assert_allclose(got[stage].bins, want[stage], rtol=0, atol=1e-8)
+        got = stage_spectrum(cfg, stage).bins
+        np.testing.assert_allclose(got, want[stage], rtol=0, atol=1e-8)
+    with pytest.raises(ValueError, match="stage must be one of"):
+        stage_spectrum(cfg, "tone")
 
 
 def test_equalized_capture_keeps_the_tone_phase():
