@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .equalizer import BLIND_SPOT_THRESHOLD, predict_blind_spots
+from .channel import eval_modulator
+from .equalizer import BLIND_SPOT_THRESHOLD, critical_twiddles, flag_blind_spots
 from .errors import PipelineError
 from .harness import (
     ScenarioConfig,
@@ -141,10 +142,10 @@ def _cmd_blindspots(args: argparse.Namespace) -> int:
     if not args.threshold > 0:
         raise ValueError(f"--threshold must be > 0, got {args.threshold}")
     any_flagged = False
+    twiddles = critical_twiddles(cfg.clock)
     for fp in fp_grid(args.fp_start, args.fp_stop, args.fp_step, cfg.clock):
-        flagged = predict_blind_spots(
-            scenario_with(cfg, f_p=fp).channel, cfg.clock, rel_threshold=args.threshold
-        )
+        m = eval_modulator(cfg.channel.with_rate(fp), cfg.clock).samples
+        flagged = flag_blind_spots(twiddles, m, rel_threshold=args.threshold)
         if flagged:
             any_flagged = True
             freqs = ", ".join(f"{f:g} Hz" for f in flagged)

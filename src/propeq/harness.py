@@ -72,6 +72,10 @@ class ScenarioConfig:
     reg: RegPolicy = RegPolicy()
 
     def __post_init__(self) -> None:
+        # BandSpec checks its half-width too, but its error names neither key
+        for name in ("signal_half_width_hz", "tone_half_width_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.signal_band.overlaps(self.tone_band):
             raise ValueError("signal_band and tone_band must be disjoint")
         # tone separation must exceed twice the modulation spread the bands admit

@@ -7,20 +7,30 @@ product once, at the outermost layer it depends on:
 * per scenario (``Pipeline``): the transmit signal, the signed bin offsets
   of both bands, their polyphase IFFT plans (``BandIfft``), and the DFT
   twiddles of the DDM and blind-spot bins;
-* per modulator (``Modulated``, one per rotation rate): the modulator,
-  FFT(tx*m), the noise scale and the blind-spot flags;
-* per seed (``Noise``): the unit noise spectrum W. Only its signal-band and
-  tone-band bins and its norm are kept, so the engine holds
-  O(N + seeds x band bins), not a seeds x N table.
+* per rate (``Modulated``): the modulator and FFT(tx*m), of which only the
+  signal-band and tone-band bins, their norm, the noise scale and the
+  blind-spot flags are kept; then, once per seed block, the two band series
+  of those clean bins (s_c, g_c; see ``Pipeline.series``);
+* per seed (``Noise``): the unit noise spectrum W, of which only the band
+  bins and the norm are kept;
+* per seed block: the two band series of each seed's unit noise bins (s_w,
+  g_w). A block holds as many seeds as ``NOISE_BLOCK_BYTES`` allows, 5 on the
+  default 32000-point clock, so the engine holds O(N x block + seeds x band
+  bins), never a seeds x N table;
+* per run: two axpys, s = s_c + scale*s_w and g_hat = g_c + scale*g_w, the
+  regularized division and a DFT of the five DDM bins of the quotient.
 
-The FFT is linear, so a run's received spectrum is FFT(tx*m) + scale*W. A run
-then costs two band IFFTs, each a batch of short P-point transforms (50 of
-640 points on the default clock), the regularized division and a DFT of the
-five DDM bins of the quotient. The tone band is demodulated by shifting its
-bins to baseband before its IFFT, so no carrier is multiplied in. The raw
-DDM is read from the received signal-band bins directly. Each thread runs
-into its own ``Workspace`` of full-length buffers, so a run allocates no
-full-length array of its own.
+The FFT is linear, so a run's received spectrum is FFT(tx*m) + scale*W, and
+so are its band bins. The band IFFT is linear too, so the run's series are
+the sums above to roundoff: the default 51-rate, 10-seed sweep makes
+2*51*2 + 2*10 = 224 band IFFTs, not 2 per run. A grid with a single rate or
+a single seed, or without noise, shares no series, so each of its runs makes
+the two band IFFTs of its own received bins, as ``Pipeline.equalized`` does. A band IFFT is a
+batch of short P-point transforms (50 of 640 points on the default clock).
+The tone band is demodulated by shifting its bins to baseband before its
+IFFT, so no carrier is multiplied in. The raw DDM is read from the received
+signal-band bins directly. Each thread runs into its own ``Workspace`` of
+full-length buffers, so a run allocates no full-length array of its own.
 
 A run makes no full-length pass for its checks alone. The divider's one
 |g_hat| pass, which sets the floor, also rejects a g_hat that is not finite
@@ -31,6 +41,7 @@ every sample, so a non-finite sample makes every bin non-finite.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,12 +74,21 @@ if TYPE_CHECKING:
 
 STAGES = ("modulator", "rx", "equalized")
 
+# the unit noise series a sweep holds at once: 5 seeds' signal and tone
+# series on the default 32000-point clock, fewer seeds on a longer capture
+NOISE_BLOCK_BYTES = 5 * 2**20
+
+
+def seeds_per_block(n: int) -> int:
+    """How many seeds' noise series of ``n`` samples a sweep holds at once."""
+    return max(1, NOISE_BLOCK_BYTES // (2 * n * np.dtype(np.complex128).itemsize))
+
 
 @dataclass(frozen=True)
 class Modulated:
     """Products of one modulator, shared by the runs of every seed."""
 
-    clean: Spectrum  # FFT(tx * m)
+    f_p: float | None  # the rate of every propeller; None keeps the scenario's
     scale: float  # noise deviation per component; 0 without noise
     signal: np.ndarray  # clean bins of the signal band
     tone: np.ndarray  # clean bins of the tone band
@@ -97,9 +117,9 @@ class Workspace:
     """Full-length buffers one thread reuses for every run it makes."""
 
     def __init__(self, n: int):
-        # each band IFFT runs in place in its buffer's (P, L) grid
-        self.s = np.empty(n, dtype=np.complex128)
-        self.g = np.empty(n, dtype=np.complex128)  # the estimate, then the quotient
+        # rows: the run's signal series and its estimate, which the division
+        # then overwrites with the quotient
+        self.run = np.empty((2, n), dtype=np.complex128)
         self.mag = np.empty(n)
 
 
@@ -134,20 +154,28 @@ class Pipeline:
         self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
         self._critical_twiddles = critical_twiddles(clock)
 
-    def modulate(self, f_p: float | None = None) -> Modulated:
-        """The scenario's modulator, with every propeller at ``f_p`` if given."""
+    def _capture(self, f_p: float | None) -> tuple[np.ndarray, np.ndarray]:
+        """The modulator samples m and the noiseless capture tx*m at rate ``f_p``."""
         channel = self.cfg.channel if f_p is None else self.cfg.channel.with_rate(f_p)
         with np.errstate(over="ignore"):
-            m = eval_modulator(channel, self.cfg.clock)
-            clean = self._tx * m.samples.real
-        spec = forward_fft(SampleBuffer(self.cfg.clock, clean))
+            m = eval_modulator(channel, self.cfg.clock).samples
+            return m, self._tx * m.real
+
+    def _noise_scale(self, clean: np.ndarray) -> float:
+        snr_db = self.cfg.channel.snr_db
+        return 0.0 if snr_db is None else noise_scale(clean, snr_db)
+
+    def modulate(self, f_p: float | None = None) -> Modulated:
+        """The scenario's modulator, with every propeller at ``f_p`` if given."""
+        m, clean = self._capture(f_p)
+        bins = forward_fft(SampleBuffer(self.cfg.clock, clean)).bins
         return Modulated(
-            clean=spec,
-            scale=0.0 if channel.snr_db is None else noise_scale(clean, channel.snr_db),
-            signal=spec.bins[self._signal_idx],
-            tone=spec.bins[self._tone_idx],
-            norm=_norm(spec.bins),
-            flags=flag_blind_spots(self._critical_twiddles, m.samples),
+            f_p=f_p,
+            scale=self._noise_scale(clean),
+            signal=bins[self._signal_idx],
+            tone=bins[self._tone_idx],
+            norm=_norm(bins),
+            flags=flag_blind_spots(self._critical_twiddles, m),
         )
 
     def noise(self, seed: int) -> Noise | None:
@@ -162,21 +190,50 @@ class Pipeline:
         clock = self.cfg.clock
         return forward_fft(SampleBuffer(clock, unit_noise(seed, clock.n_samples))).bins
 
-    def rx_spectrum(self, mod: Modulated, seed: int | None) -> Spectrum:
-        """The full received spectrum with ``seed``'s noise; None for no noise."""
+    def rx_spectrum(self, f_p: float | None, seed: int | None) -> Spectrum:
+        """The full received spectrum at rate ``f_p`` with ``seed``'s noise.
+
+        A rate of None keeps the scenario's own; a seed of None adds no noise.
+        A ``Modulated`` keeps only band bins, so this computes FFT(tx*m) again.
+        """
+        _, clean = self._capture(f_p)
+        spec = forward_fft(SampleBuffer(self.cfg.clock, clean))
         if seed is None:
-            return mod.clean
-        noisy = mod.clean.bins + mod.scale * self._noise_spectrum(seed)
+            return spec
+        noisy = spec.bins + self._noise_scale(clean) * self._noise_spectrum(seed)
         return Spectrum(self.cfg.clock, noisy)
 
     def workspace(self) -> Workspace:
         return Workspace(self.cfg.clock.n_samples)
 
-    def run(self, mod: Modulated, noise: Noise | None, work: Workspace) -> tuple[float, float]:
-        """(ddm_raw, ddm_eq) of one run."""
+    def series(self, signal: np.ndarray, tone: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The band IFFTs of signal-band and tone-band bins, written to ``out``'s two rows.
+
+        Row 0 is the signal series, row 1 the tone band demodulated to a unit
+        tone: for a run's received bins, its estimate g_hat. ``out`` is a
+        C-contiguous complex (2, N) array.
+        """
+        self._tone_ifft(tone * self._tone_gain, out[1])
+        self._signal_ifft(signal, out[0])
+        return out
+
+    def run(
+        self,
+        mod: Modulated,
+        noise: Noise | None,
+        work: Workspace,
+        parts: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[float, float]:
+        """(ddm_raw, ddm_eq) of one run.
+
+        ``parts`` are the ``series`` of ``mod``'s clean bins and of ``noise``'s
+        unit bins. Given them, the run's series are their sum
+        clean + scale*unit, which by linearity equals the band IFFTs of its
+        received bins to roundoff; otherwise the run makes those IFFTs.
+        """
         signal, tone = self._receive(mod, noise)
         ddm_raw = compute_ddm(self._amplitudes(np.append(signal, 0)[self._ddm_pos]))
-        bins = dft_bins(self._ddm_twiddles, self._equalize(mod, noise, signal, tone, work))
+        bins = dft_bins(self._ddm_twiddles, self._equalize(mod, noise, signal, tone, work, parts))
         # every sample enters every bin, so a non-finite sample shows here
         check_finite(bins, "equalized samples")
         return ddm_raw, compute_ddm(self._amplitudes(bins))
@@ -207,23 +264,29 @@ class Pipeline:
         signal: np.ndarray,
         tone: np.ndarray,
         work: Workspace,
+        parts: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
         """The quotient of one run, not yet checked to be finite."""
         self._check_tone_energy(mod, noise, tone)
-        g = self._tone_ifft(tone * self._tone_gain, work.g)
-        s = self._signal_ifft(signal, work.s)
-        return regularized_divide(s, g, self.cfg.reg.eps_rel, work.g, work.mag)
+        if parts is None:
+            s, g = self.series(signal, tone, work.run)
+        else:
+            # the tone-energy check has bounded every received bin, and so
+            # every series sample, far below the float limit: this cannot overflow
+            clean, unit = parts
+            s, g = np.add(clean, np.multiply(unit, mod.scale, out=work.run), out=work.run)
+        return regularized_divide(s, g, self.cfg.reg.eps_rel, work.run[1], work.mag)
 
     def _check_tone_energy(self, mod: Modulated, noise: Noise | None, tone: np.ndarray) -> None:
-        # ||S + scale*W|| <= ||S|| + scale*||W||; redraw the noise only when
-        # that bound cannot decide. A capture can be so loud that its energy
-        # overflows, and then nothing is decided.
+        # ||S + scale*W|| <= ||S|| + scale*||W||; draw the received spectrum
+        # again only when that bound cannot decide. A capture can be so loud
+        # that its energy overflows, and then nothing is decided.
         seed, noise_norm = (None, 0.0) if noise is None else (noise.seed, noise.norm)
         with np.errstate(over="ignore"):
             band_energy = float(np.sum(np.abs(tone) ** 2))
             if not tone_band_empty(band_energy, (mod.norm + mod.scale * noise_norm) ** 2):
                 return
-            total = float(np.sum(np.abs(self.rx_spectrum(mod, seed).bins) ** 2))
+            total = float(np.sum(np.abs(self.rx_spectrum(mod.f_p, seed).bins) ** 2))
         if not total < math.inf:
             raise ValueError("received energy must be finite")
         if tone_band_empty(band_energy, total):
@@ -243,24 +306,51 @@ def sweep(
     thread; the threads share the read-only scenario and noise products and
     the chunks are merged in grid order, so every number is the same as in a
     serial sweep.
+
+    With noise, more than one rate and more than one seed, the seeds run in
+    blocks of ``seeds_per_block``: each block's noise series are made once,
+    then each rate makes its clean series once for the block, and every run
+    sums the two. Otherwise nothing is shared and each run makes its own band
+    IFFTs.
     """
     pipe = Pipeline(cfg)
     noises = [pipe.noise(s) for s in seeds]
-
-    def runs(chunk: Sequence[float | None]):
-        work = pipe.workspace()
-        out = []
-        for f_p in chunk:
-            mod = pipe.modulate(f_p)
-            out.append((mod.flags, [pipe.run(mod, n, work) for n in noises]))
-        return out
-
     k = min(workers, len(rates))
     chunks = [rates[len(rates) * i // k : len(rates) * (i + 1) // k] for i in range(k)]
-    if k == 1:
-        return runs(rates)
+    works = [pipe.workspace() for _ in chunks]
+    mods: list[list[Modulated]] = [[] for _ in chunks]
+    shared = len(rates) > 1 and len(seeds) > 1 and cfg.channel.snr_db is not None
+    n = cfg.clock.n_samples
+    size = seeds_per_block(n) if shared else len(seeds)
+    units = np.empty((min(size, len(seeds)), 2, n), dtype=np.complex128) if shared else None
+    # each chunk's clean series of its current rate
+    cleans = np.empty((k, 2, n), dtype=np.complex128) if shared else [None] * k
+
+    def runs(block, block_units, chunk, chunk_mods, work, clean_out):
+        out = []
+        for i, f_p in enumerate(chunk):
+            if i == len(chunk_mods):  # the first block builds each rate's modulator
+                chunk_mods.append(pipe.modulate(f_p))
+            mod = chunk_mods[i]
+            if block_units is None:
+                out.append([pipe.run(mod, w, work) for w in block])
+            else:
+                clean = pipe.series(mod.signal, mod.tone, clean_out)
+                out.append([pipe.run(mod, w, work, (clean, u)) for w, u in zip(block, block_units)])
+        return out
+
+    per_rate: list[list[tuple[float, float]]] = [[] for _ in rates]
     with ThreadPoolExecutor(max_workers=k) as pool:
-        return [r for part in pool.map(runs, chunks) for r in part]
+        each = pool.map if k > 1 else map
+        for b in range(0, len(seeds), size):
+            block = noises[b : b + size]
+            block_units = None if units is None else [
+                pipe.series(w.signal, w.tone, u) for w, u in zip(block, units)
+            ]
+            parts = each(functools.partial(runs, block, block_units), chunks, mods, works, cleans)
+            for acc, r in zip(per_rate, (r for part in parts for r in part)):
+                acc += r
+    return [(mod.flags, r) for mod, r in zip((m for part in mods for m in part), per_rate)]
 
 
 def stage_spectrum(cfg: ScenarioConfig, stage: str) -> Spectrum:
@@ -270,8 +360,7 @@ def stage_spectrum(cfg: ScenarioConfig, stage: str) -> Spectrum:
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
     pipe = Pipeline(cfg)
-    mod = pipe.modulate()
     seed = cfg.channel.rng_seed
     if stage == "rx":
-        return pipe.rx_spectrum(mod, None if cfg.channel.snr_db is None else seed)
-    return forward_fft(pipe.equalized(mod, pipe.noise(seed)))
+        return pipe.rx_spectrum(None, None if cfg.channel.snr_db is None else seed)
+    return forward_fft(pipe.equalized(pipe.modulate(), pipe.noise(seed)))

@@ -228,6 +228,7 @@ _SUBNORMAL_SNR_FLAG = {value: {} for value in ("-3080", "-3200")}
         # the bands' centres follow from the scenario and are not config keys
         ({"tone_band": {"center_hz": 1500}}, "unknown config keys: ['tone_band']"),
         ({"signal_half_width_hz": 0}, "half_width_hz must be > 0, got 0.0"),
+        ({"tone_half_width_hz": -1}, "tone_half_width_hz must be > 0, got -1.0"),
     ],
 )
 def test_impossible_config_is_rejected_at_construction(tmp_path, capsys, config, message):
@@ -245,14 +246,20 @@ def test_impossible_config_is_rejected_at_construction(tmp_path, capsys, config,
     assert err.count("\n") == 1
 
 
+# a 2-rate x 2-seed sweep: its runs sum shared band series
+_TWO_BY_TWO = ["sweep", "--fp-start", "30", "--fp-stop", "31", "--fp-step", "1", "--seeds", "2"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("snr_db", ["-3000", "-3076"])
-def test_overflowing_received_energy_is_one_config_error(capsys, snr_db):
+def test_overflowing_received_energy_is_one_config_error(tmp_path, capsys, snr_db):
     # a normal power ratio, yet the noise is so loud that the capture's
-    # energy overflows; no warning may reach the user either
-    assert main(["simulate", f"--snr-db={snr_db}"]) == 1
-    err = capsys.readouterr().err
-    assert err == "propeq: config error: received energy must be finite\n"
+    # energy overflows; no warning may reach the user either, also on a
+    # 2 x 2 grid, whose runs sum shared band series
+    for command in (["simulate"], _TWO_BY_TWO + ["--out", str(tmp_path / "never.csv")]):
+        assert main([*command, f"--snr-db={snr_db}"]) == 1
+        err = capsys.readouterr().err
+        assert err == "propeq: config error: received energy must be finite\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -273,8 +280,9 @@ def test_loud_ils_is_one_config_error(tmp_path, capsys, config, message):
     # the capture's power overflows a float; no overflow warning may reach the user
     path = tmp_path / "loud.json"
     path.write_text(json.dumps(config))
-    assert main(["simulate", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == f"propeq: config error: {message}\n"
+    for command in (["simulate"], _TWO_BY_TWO + ["--out", str(tmp_path / "never.csv")]):
+        assert main([*command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"propeq: config error: {message}\n"
 
 
 @pytest.mark.filterwarnings("error")

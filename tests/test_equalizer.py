@@ -14,12 +14,12 @@ from propeq import (
     RegPolicy,
     ScenarioConfig,
     SineRipple,
-    Spectrum,
     SquareWave,
     ToneAbsentError,
     ToneParams,
     predict_blind_spots,
     run_single,
+    sweep_fp,
     synth_ils,
     synth_tone,
 )
@@ -79,11 +79,16 @@ def test_square_matches_band_limited_series_on_tone_only_capture(clock):
     assert rms(g - truth) <= 1e-6
 
 
+@pytest.mark.filterwarnings("error")
 def test_tone_absent_raises(clock):
     # a tone 1e-30 of the ILS leaves only FFT roundoff in the tone band
     tone = ToneParams(amp=1e-30)
+    cfg = scenario(clock, one_prop(CustomCycle(gains=(1.0,))), tone=tone)
     with pytest.raises(ToneAbsentError):
-        run_single(scenario(clock, one_prop(CustomCycle(gains=(1.0,))), tone=tone))
+        run_single(cfg)
+    # the same on a 2 x 2 grid, whose runs sum shared band series
+    with pytest.raises(ToneAbsentError):
+        sweep_fp(cfg, 20.0, 21.0, 1.0, seeds=[0, 1])
 
 
 def test_extraction_scales_with_tone_amp(clock):
@@ -138,7 +143,6 @@ def test_gain_invariance(small_clock, k):
     base = pipe.modulate()
     scaled = replace(
         base,
-        clean=Spectrum(small_clock, k * base.clean.bins),
         signal=k * base.signal,
         tone=k * base.tone,
         norm=k * base.norm,

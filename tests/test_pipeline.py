@@ -1,7 +1,9 @@
 """The staged engine against the plain numpy reference chain in ``oracles``."""
 
 import json
+import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from propeq import (
 from propeq.cli import main
 from propeq.harness import DEFAULT_PROPELLER_PHASE, DEFAULT_SQUARE, simulate
 from propeq.equalizer import BLIND_SPOT_THRESHOLD
-from propeq.pipeline import STAGES, Pipeline, stage_spectrum
+from propeq.pipeline import STAGES, Pipeline, seeds_per_block, stage_spectrum
 
 import oracles
 
@@ -128,14 +130,19 @@ def test_blocking_channel_loses_the_carrier_before_the_tone():
         run_single(cfg)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("snr_db", [400.0, None])
 def test_vanishing_tone_is_absent(snr_db):
     # a sine ripple keeps the ILS out of the tone band, so only roundoff and
     # the 400 dB noise floor are there; the bound on the received energy
-    # cannot decide that, so the seed's noise is drawn again for the exact sum
+    # cannot decide that, so the received spectrum is drawn again for the
+    # exact sum, from the run's rate and seed
     cfg = single(SineRipple(0.5), f_p=25.0, snr_db=snr_db, tone=ToneParams(amp=1e-20))
     with pytest.raises(ToneAbsentError):
         run_single(cfg)
+    # a 2 x 2 grid sums shared band series instead
+    with pytest.raises(ToneAbsentError):
+        sweep_fp(cfg, 25.0, 26.0, 1.0, seeds=[0, 1])
 
 
 def test_stage_spectra_match_composed_stages():
@@ -184,6 +191,21 @@ def test_serial_and_threaded_multiprop_csv_identical(tmp_path):
     assert a.read_bytes() == c.read_bytes()
 
 
+def test_threaded_sweep_over_two_seed_blocks_matches_serial():
+    # the workers read each block's shared noise series and keep
+    # their rates' modulators from one block to the next
+    cfg = default_scenario()
+    seeds = list(range(seeds_per_block(cfg.clock.n_samples) + 1))
+    serial = sweep_fp(cfg, 20.0, 22.0, 0.5, seeds=seeds)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sweep_fp(cfg, 20.0, 22.0, 0.5, seeds=seeds, workers=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
 def test_simulate_csv_is_a_one_point_sweep(tmp_path):
     one, swept = tmp_path / "one.csv", tmp_path / "swept.csv"
     assert main(["simulate", "--fp", "22.5", "--seed", "7", "--out", str(one)]) == 0
@@ -219,6 +241,35 @@ def test_sweep_runs_make_two_short_inverse_transforms(inverse_lengths):
 def test_simulate_makes_two_short_inverse_transforms(inverse_lengths):
     simulate(default_scenario())
     assert inverse_lengths == [640, 640]
+
+
+def test_default_sweep_makes_its_band_iffts_per_rate_and_per_seed(inverse_lengths):
+    # each seed block: two band IFFTs per rate on its clean bins; each seed:
+    # two on its unit noise bins; a run sums them instead of making its own
+    rates, seeds = 51, list(range(10))
+    blocks = math.ceil(len(seeds) / seeds_per_block(32000))
+    assert blocks == 2
+    sweep = sweep_fp(default_scenario(), 15.0, 40.0, 0.5, seeds=seeds)
+    assert len(sweep.results) == rates * len(seeds)
+    assert len(inverse_lengths) == 2 * rates * blocks + 2 * len(seeds) == 224
+    assert set(inverse_lengths) == {640}
+
+
+def test_sweep_holds_one_block_of_noise_series():
+    # a block of seeds' noise series is held at once, never every seed's
+    cfg = default_scenario()
+    n, block = cfg.clock.n_samples, seeds_per_block(cfg.clock.n_samples)
+
+    def peak(n_seeds):
+        tracemalloc.start()
+        try:
+            sweep_fp(cfg, 22.5, 23.0, 0.5, seeds=list(range(n_seeds)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, two = peak(block), peak(2 * block)
+    assert two - one < 2 * 16 * n
 
 
 def _setting(value, alone=False):
