@@ -19,10 +19,7 @@ from .channel import (
 from .equalizer import RegPolicy, predict_blind_spots
 from .errors import CarrierLostError, PipelineError, ToneAbsentError
 from .harness import (
-    FpSummary,
-    RunResult,
     ScenarioConfig,
-    SweepResult,
     default_scenario,
     dump_spectrum,
     emit_csv,
@@ -38,6 +35,7 @@ from .harness import (
     sweep_fp,
 )
 from .metrics import ToneAmplitudes, compute_ddm
+from .pipeline import FpSummary, RunResult, SweepResult
 from .signals import (
     IlsParams,
     SampleBuffer,

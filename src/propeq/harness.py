@@ -1,12 +1,12 @@
-"""Scenario runner: single simulations, propeller-speed sweeps, and emitters.
+"""Scenarios, their JSON form, the rotation-rate grid, and the emitters.
 
 A scenario bundles every knob of the pipeline (clock, transmitted signal,
-channel, windows, regularization). ``run_single`` and ``simulate`` execute the
-full chain synth -> channel -> FFT -> extract -> equalize -> DDM for one
-configuration; ``sweep_fp`` repeats it over a rotation-rate grid and a
-Monte-Carlo seed list, with optional thread-parallel execution whose output is
-merged in deterministic grid order. All three run on the staged engine in
-``pipeline``.
+channel, windows, regularization). ``run_single`` and ``simulate`` run the
+full chain synth -> channel -> FFT -> extract -> equalize -> DDM once;
+``sweep_fp`` runs it over a rotation-rate grid (``fp_grid``) and a
+Monte-Carlo seed list, optionally on threads, in deterministic grid order.
+All three hand their rates and seeds to ``pipeline.sweep``, which returns the
+``SweepResult`` the CSV and SVG emitters read.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import sys
 import types
 import typing
@@ -34,6 +35,7 @@ from .channel import (
 )
 from .equalizer import RegPolicy
 from .metrics import DDM_FREQS
+from .pipeline import FpSummary, RunResult, SweepResult  # FpSummary: re-exported
 from .signals import IlsParams, SampleClock, ToneParams
 from .spectral import BandSpec, Spectrum, bin_index, check_band, folded_frequencies
 
@@ -108,41 +110,7 @@ def default_scenario() -> ScenarioConfig:
     return ScenarioConfig()
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Raw and equalized DDM for one (rotation rate, seed) realization."""
-
-    f_p_hz: float
-    seed: int
-    ddm_raw: float
-    ddm_eq: float
-    dev_raw: float
-    dev_eq: float
-
-
 CSV_HEADER = ",".join(f.name for f in fields(RunResult))
-
-
-@dataclass(frozen=True)
-class FpSummary:
-    """Per-grid-point medians across seeds, plus blind-spot flags."""
-
-    f_p_hz: float
-    median_dev_raw: float
-    median_dev_eq: float
-    flagged_freqs: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """All runs of a rotation-rate sweep in deterministic grid order."""
-
-    results: tuple[RunResult, ...]
-    summaries: tuple[FpSummary, ...]
-
-    @property
-    def blind_spots(self) -> tuple[float, ...]:
-        return tuple(s.f_p_hz for s in self.summaries if s.flagged_freqs)
 
 
 def scenario_with(
@@ -159,44 +127,9 @@ def scenario_with(
     return replace(cfg, channel=replace(ch, **channel))
 
 
-def _sweep(
-    cfg: ScenarioConfig,
-    rates: tuple[float | None, ...],
-    seeds: list[int],
-    workers: int,
-) -> SweepResult:
-    truth = cfg.ils.ddm
-    results: list[RunResult] = []
-    summaries = []
-    per_rate = pipeline.sweep(cfg, rates, seeds, workers)
-    for f_p, (flagged, runs) in zip(rates, per_rate):
-        f_p_hz = float(cfg.channel.propellers[0].f_p if f_p is None else f_p)
-        chunk = [
-            RunResult(
-                f_p_hz=f_p_hz,
-                seed=seed,
-                ddm_raw=float(raw),
-                ddm_eq=float(eq),
-                dev_raw=abs(float(raw) - truth),
-                dev_eq=abs(float(eq) - truth),
-            )
-            for seed, (raw, eq) in zip(seeds, runs)
-        ]
-        results += chunk
-        summaries.append(
-            FpSummary(
-                f_p_hz=f_p_hz,
-                median_dev_raw=float(np.median([r.dev_raw for r in chunk])),
-                median_dev_eq=float(np.median([r.dev_eq for r in chunk])),
-                flagged_freqs=flagged,
-            )
-        )
-    return SweepResult(results=tuple(results), summaries=tuple(summaries))
-
-
 def simulate(cfg: ScenarioConfig) -> SweepResult:
     """One run of the scenario as configured, with its blind-spot flags."""
-    return _sweep(cfg, (None,), [cfg.channel.rng_seed], 1)
+    return pipeline.sweep(cfg, (None,), [cfg.channel.rng_seed], 1)
 
 
 def run_single(cfg: ScenarioConfig) -> RunResult:
@@ -214,14 +147,20 @@ def fp_grid(
     fp_start: float, fp_stop: float, fp_step: float, clock: SampleClock
 ) -> tuple[float, ...]:
     """Inclusive grid with floor((stop-start)/step)+1 points, all below half the clock's rate."""
+    for name, value in (("fp_start", fp_start), ("fp_stop", fp_stop), ("fp_step", fp_step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not fp_step > 0:
         raise ValueError(f"fp_step must be > 0, got {fp_step}")
     if fp_start > fp_stop:
         raise ValueError(f"fp_start {fp_start} must be <= fp_stop {fp_stop}")
-    n = int(np.floor((fp_stop - fp_start) / fp_step + 1e-9)) + 1
-    grid = tuple(fp_start + i * fp_step for i in range(n))
-    check_rate(grid[-1], clock)
-    return grid
+    steps = (fp_stop - fp_start) / fp_step
+    if not steps < math.inf:
+        raise ValueError(f"a grid from fp_start {fp_start} to fp_stop {fp_stop} by fp_step "
+                         f"{fp_step} has too many points to count")
+    n = int(np.floor(steps + 1e-9)) + 1
+    check_rate(fp_start + (n - 1) * fp_step, clock)  # before a far stop builds a vast grid
+    return tuple(fp_start + i * fp_step for i in range(n))
 
 
 def sweep_fp(
@@ -238,12 +177,7 @@ def sweep_fp(
     threads); results are merged in (grid, seed) order regardless of
     completion order, so serial and parallel sweeps emit byte-identical CSVs.
     """
-    seeds = list(seeds)
-    if len(seeds) == 0:
-        raise ValueError("seeds must be non-empty")
-    if not workers >= 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return _sweep(cfg, fp_grid(fp_start, fp_stop, fp_step, cfg.clock), seeds, workers)
+    return pipeline.sweep(cfg, fp_grid(fp_start, fp_stop, fp_step, cfg.clock), seeds, workers)
 
 
 # ---------------------------------------------------------------------------

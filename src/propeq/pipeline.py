@@ -20,6 +20,9 @@ product once, at the outermost layer it depends on:
 * per run: two axpys, s = s_c + scale*s_w and g_hat = g_c + scale*g_w, the
   regularized division and a DFT of the five DDM bins of the quotient.
 
+``sweep`` returns the records the emitters read, in grid order: a
+``RunResult`` per run and a ``FpSummary`` of medians and flags per rate.
+
 The FFT is linear, so a run's received spectrum is FFT(tx*m) + scale*W, and
 so are its band bins. The band IFFT is linear too, so the run's series are
 the sums above to roundoff: the default 51-rate, 10-seed sweep makes
@@ -211,9 +214,11 @@ class Pipeline:
 
         Row 0 is the signal series, row 1 the tone band demodulated to a unit
         tone: for a run's received bins, its estimate g_hat. ``out`` is a
-        C-contiguous complex (2, N) array.
+        C-contiguous complex (2, N) array. A tone too faint for its band
+        overflows here without a warning; the divider's |g_hat| pass rejects it.
         """
-        self._tone_ifft(tone * self._tone_gain, out[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._tone_ifft(tone * self._tone_gain, out[1])
         self._signal_ifft(signal, out[0])
         return out
 
@@ -293,13 +298,47 @@ class Pipeline:
             raise tone_absent(self.cfg.tone_band)
 
 
+@dataclass(frozen=True)
+class RunResult:
+    """Raw and equalized DDM for one (rotation rate, seed) realization."""
+
+    f_p_hz: float
+    seed: int
+    ddm_raw: float
+    ddm_eq: float
+    dev_raw: float
+    dev_eq: float
+
+
+@dataclass(frozen=True)
+class FpSummary:
+    """Per-grid-point medians across seeds, plus blind-spot flags."""
+
+    f_p_hz: float
+    median_dev_raw: float
+    median_dev_eq: float
+    flagged_freqs: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """All runs of a rotation-rate sweep in deterministic grid order."""
+
+    results: tuple[RunResult, ...]
+    summaries: tuple[FpSummary, ...]
+
+    @property
+    def blind_spots(self) -> tuple[float, ...]:
+        return tuple(s.f_p_hz for s in self.summaries if s.flagged_freqs)
+
+
 def sweep(
     cfg: ScenarioConfig,
     rates: Sequence[float | None],
     seeds: Sequence[int],
     workers: int,
-) -> list[tuple[tuple[float, ...], list[tuple[float, float]]]]:
-    """Blind-spot flags and (ddm_raw, ddm_eq) per seed, for each rate in order.
+) -> SweepResult:
+    """One ``RunResult`` per (rate, seed) and one ``FpSummary`` per rate, in grid order.
 
     A rate of None keeps the scenario's own propeller rates. With
     ``workers`` > 1 the rates are split into contiguous chunks, one per
@@ -313,6 +352,10 @@ def sweep(
     sums the two. Otherwise nothing is shared and each run makes its own band
     IFFTs.
     """
+    if len(seeds) == 0:
+        raise ValueError("seeds must be non-empty")
+    if not workers >= 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     pipe = Pipeline(cfg)
     noises = [pipe.noise(s) for s in seeds]
     k = min(workers, len(rates))
@@ -350,7 +393,18 @@ def sweep(
             parts = each(functools.partial(runs, block, block_units), chunks, mods, works, cleans)
             for acc, r in zip(per_rate, (r for part in parts for r in part)):
                 acc += r
-    return [(mod.flags, r) for mod, r in zip((m for part in mods for m in part), per_rate)]
+
+    truth = cfg.ils.ddm
+    results: list[RunResult] = []
+    summaries = []
+    for mod, pairs in zip((m for part in mods for m in part), per_rate):
+        f_p_hz = float(cfg.channel.propellers[0].f_p if mod.f_p is None else mod.f_p)
+        records = [RunResult(f_p_hz, seed, raw, eq, abs(raw - truth), abs(eq - truth))
+                   for seed, (raw, eq) in zip(seeds, pairs)]
+        results += records
+        summaries.append(FpSummary(f_p_hz, float(np.median([r.dev_raw for r in records])),
+                                   float(np.median([r.dev_eq for r in records])), mod.flags))
+    return SweepResult(tuple(results), tuple(summaries))
 
 
 def stage_spectrum(cfg: ScenarioConfig, stage: str) -> Spectrum:

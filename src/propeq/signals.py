@@ -9,6 +9,7 @@ the signal band so the two can be separated by frequency-domain windowing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,9 @@ class ToneParams:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.amp > 0:
-            raise ValueError(f"amp must be > 0, got {self.amp}")
+        # a subnormal amplitude would overflow the 1/amp that demodulates the tone
+        if not self.amp >= sys.float_info.min:
+            raise ValueError(f"amp must be a normal float > 0, got {self.amp}")
         if not self.offset_hz >= 300.0:
             raise ValueError(
                 f"offset_hz must be >= 300 to separate tone and signal, got {self.offset_hz}"

@@ -202,9 +202,11 @@ def dft_bins(twiddles: tuple[np.ndarray, ...], samples: np.ndarray) -> np.ndarra
     one fold on the default clock, as do the +-150 Hz bins), and each bin
     takes a P-point dot product with its fold, so reading a few bins costs
     far less than a full FFT. Every sample enters every bin, so a NaN or an
-    infinity among the samples makes every bin non-finite.
+    infinity among the samples makes every bin non-finite; the caller finds
+    it there, and the folds and dot products raise no warning.
     """
-    folds = {p: samples.reshape(-1, p).sum(axis=0) for p in {len(tw) for tw in twiddles}}
-    # einsum, not BLAS: its fixed summation order keeps serial and threaded
-    # runs bit-identical
-    return np.array([np.einsum("p,p->", folds[len(tw)], tw) for tw in twiddles])
+    with np.errstate(over="ignore", invalid="ignore"):
+        folds = {p: samples.reshape(-1, p).sum(axis=0) for p in {len(tw) for tw in twiddles}}
+        # einsum, not BLAS: its fixed summation order keeps serial and threaded
+        # runs bit-identical
+        return np.array([np.einsum("p,p->", folds[len(tw)], tw) for tw in twiddles])

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 from statistics import median
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propeq.cli import main
 from propeq.harness import CSV_HEADER, load_sweep_csv
@@ -229,6 +236,8 @@ _SUBNORMAL_SNR_FLAG = {value: {} for value in ("-3080", "-3200")}
         ({"tone_band": {"center_hz": 1500}}, "unknown config keys: ['tone_band']"),
         ({"signal_half_width_hz": 0}, "half_width_hz must be > 0, got 0.0"),
         ({"tone_half_width_hz": -1}, "tone_half_width_hz must be > 0, got -1.0"),
+        # a subnormal tone amplitude, whose reciprocal overflows
+        ({"tone": {"amp": 1e-310}}, "tone: amp must be a normal float > 0, got 1e-310"),
     ],
 )
 def test_impossible_config_is_rejected_at_construction(tmp_path, capsys, config, message):
@@ -274,15 +283,30 @@ def test_overflowing_received_energy_is_one_config_error(tmp_path, capsys, snr_d
          "transmitted samples must be finite"),
         # the transmit is finite, its spectrum is not
         ({"ils": {"a_c": 1e308}}, "bins must be finite"),
+        # a normal tone amplitude so small that demodulating its band overflows
+        ({"tone": {"amp": 3e-308}}, "g_hat must be finite"),
     ],
 )
 def test_loud_ils_is_one_config_error(tmp_path, capsys, config, message):
-    # the capture's power overflows a float; no overflow warning may reach the user
+    # a float overflows on the way; no overflow warning may reach the user
     path = tmp_path / "loud.json"
     path.write_text(json.dumps(config))
     for command in (["simulate"], _TWO_BY_TWO + ["--out", str(tmp_path / "never.csv")]):
         assert main([*command, "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"propeq: config error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_opposite_infinities_in_the_quotient_are_one_config_error(tmp_path, capsys):
+    # the quotient holds both +inf and -inf, which sum to NaN in its DDM bins
+    path = tmp_path / "infinities.json"
+    shape = {"kind": "square", "duty": 0.3, "lo": 5e-324, "hi": 1.0}
+    path.write_text(json.dumps({
+        "tone": {"amp": 1e300},
+        "channel": {"propellers": [{"shape": shape, "f_p": 0.001}], "snr_db": -3000.0},
+    }))
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "propeq: config error: equalized samples must be finite\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -307,3 +331,90 @@ def test_blindspots_checks_the_whole_grid_before_scanning(capsys, start, step):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("propeq: config error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "blindspots"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--fp-stop=inf", "fp_stop must be finite, got inf"),
+        ("--fp-start=-inf", "fp_start must be finite, got -inf"),
+        ("--fp-start=nan", "fp_start must be finite, got nan"),
+        ("--fp-step=inf", "fp_step must be finite, got inf"),
+        # finite flags whose number of grid points overflows a float
+        ("--fp-stop=1e308", "has too many points to count"),
+        ("--fp-step=1e-310", "has too many points to count"),
+    ],
+)
+def test_unusable_grid_flag_is_one_config_error(tmp_path, capsys, command, flag, message):
+    out = tmp_path / "never.csv"
+    argv = [command, flag, *(["--out", str(out)] if command == "sweep" else [])]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("propeq: config error: ") and captured.err.endswith(f"{message}\n")
+    assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
+
+
+# zero, the smallest subnormal, a value near the float limit, the powers of
+# ten between, and the moderate values a working scenario has
+_MAGNITUDE = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.7e308]),
+    st.integers(-300, 300).map(lambda e: 10.0**e),
+    st.floats(0.0, 2.0, exclude_min=True),
+)
+_SHAPE = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.lists(_MAGNITUDE, min_size=2, max_size=2).map(sorted)).map(
+        lambda d: {"kind": "square", "duty": d[0], "lo": d[1][0], "hi": d[1][1]}),
+    st.fixed_dictionaries({"kind": st.just("sine"), "beta": st.floats(0.0, 1.0)}),
+    st.fixed_dictionaries({"kind": st.just("custom"),
+                           "gains": st.lists(_MAGNITUDE, min_size=1, max_size=4)}),
+)
+_HALF_WIDTH = st.sampled_from([50.0, 150.0, 300.0, 450.0])
+
+
+@st.composite
+def _scenarios(draw):
+    n = draw(st.integers(1600, 12800))
+    return draw(st.fixed_dictionaries({
+        "clock": st.just({"rate_hz": float(n), "n_samples": n}),
+        "ils": st.fixed_dictionaries({name: _MAGNITUDE for name in
+                                      ("a_c", "a_90", "a_150", "phase_90", "phase_150")}),
+        "tone": st.fixed_dictionaries({"amp": _MAGNITUDE, "phase": _MAGNITUDE}),
+        "channel": st.fixed_dictionaries({
+            "propellers": st.lists(st.fixed_dictionaries({
+                "shape": _SHAPE,
+                "f_p": st.floats(1e-3, 1e3),
+                "phase": _MAGNITUDE,
+                "coeff": _MAGNITUDE,
+            }), min_size=1, max_size=2),
+            "snr_db": st.sampled_from([None, -3000.0, 20.0, 300.0, 3000.0]),
+        }),
+        "signal_half_width_hz": _HALF_WIDTH,
+        "tone_half_width_hz": _HALF_WIDTH,
+        "reg": st.fixed_dictionaries({"eps_rel": st.sampled_from([1e-300, 1e-12, 1e-3, 0.5])}),
+    }))
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=_scenarios())
+def test_main_ends_every_drawn_config_in_an_exit_code(config):
+    """Each command ends in exit 0, 1 or 2; a failure prints one stderr line.
+
+    A warning or an uncaught exception fails the test. The clocks stay at
+    12 800 samples or fewer until the CLI bounds what a run allocates
+    (ROADMAP item 5); nothing else about the drawn configs is narrowed.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.json"
+        path.write_text(json.dumps(config))
+        out = str(Path(tmp) / "spectrum.csv")
+        for command in (["simulate"], *(["spectrum", "--stage", stage, "--out", out]
+                                        for stage in ("rx", "equalized", "modulator"))):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([*command, "--config", str(path)])
+            assert code in (0, 1, 2)
+            if code:
+                assert err.getvalue().startswith("propeq: ") and err.getvalue().count("\n") == 1

@@ -281,6 +281,11 @@ def _setting(value, alone=False):
     return corrupt
 
 
+def _opposite_extremes(x):
+    # finite, but g_hat exceeds 1 at both samples, so their quotients overflow
+    x[7], x[8] = sys.float_info.max, -sys.float_info.max
+
+
 _G_NAN = "g_hat must be finite"
 _G_EMPTY = "g_hat must carry energy"
 _Q_NAN = "equalized samples must be finite"
@@ -300,6 +305,8 @@ _INJECTED = {
     "g_huge": ("_tone_ifft", _setting(1e308 * (1.5 + 1.5j)), _Q_NAN),
     "s_inf": ("_signal_ifft", _setting(np.inf), _Q_NAN),
     "s_nan": ("_signal_ifft", _setting(np.nan), _Q_NAN),
+    # the quotient holds +inf and -inf, which sum to NaN in the DDM bins
+    "s_opposite_inf": ("_signal_ifft", _opposite_extremes, _Q_NAN),
 }
 
 
