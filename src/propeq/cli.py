@@ -14,11 +14,13 @@ from .equalizer import BLIND_SPOT_THRESHOLD, critical_twiddles, flag_blind_spots
 from .errors import PipelineError
 from .harness import (
     ScenarioConfig,
+    check_runs,
     default_scenario,
     dump_spectrum,
     emit_csv,
     emit_plot,
     fp_grid,
+    grid_points,
     load_config,
     scenario_with,
     simulate,
@@ -114,6 +116,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds <= 0:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     cfg = _load_scenario(args)
+    check_runs(grid_points(args.fp_start, args.fp_stop, args.fp_step), args.seeds)
     sweep = sweep_fp(
         cfg,
         args.fp_start,

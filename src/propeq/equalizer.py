@@ -53,28 +53,20 @@ def tone_absent(band: BandSpec) -> ToneAbsentError:
     return ToneAbsentError(f"no energy in tone band [{band.lo_hz}, {band.hi_hz}] Hz")
 
 
-def regularized_divide(
-    s: np.ndarray,
-    g: np.ndarray,
-    eps_rel: float,
-    out: np.ndarray | None = None,
-    mag: np.ndarray | None = None,
-) -> np.ndarray:
+def regularized_divide(s: np.ndarray, g: np.ndarray, eps_rel: float) -> np.ndarray:
     """s * conj(g) / max(|g|^2, floor^2) with floor = eps_rel * max |g|.
 
     The one |g| pass the floor needs also checks the estimate: a NaN or an
     infinity in ``g`` makes max |g| non-finite, and a finite ``g`` carries
     energy exactly when max |g| > 0, so ``g`` is not scanned again unless
     one of those tests fails. The quotient itself is not checked, and its
-    overflows raise no warning: the caller rejects a non-finite one. ``out``
-    (complex, may be ``g`` itself) and ``mag`` (real) are optional work
-    buffers shaped like ``g``; a sweep passes the same ones to every run.
+    overflows raise no warning: the caller rejects a non-finite one.
 
     Raises:
         ValueError: ``g`` is not finite or carries no energy.
     """
     with np.errstate(all="ignore"):
-        mag = np.abs(g, out=mag)
+        mag = np.abs(g)
         peak = float(np.max(mag))
         if not peak < math.inf:
             check_finite(g, "g_hat")  # |g| can also overflow on a finite g
@@ -86,7 +78,7 @@ def regularized_divide(
         # numpy divides by the complex c + 0j as a * (1/c), so this multiply
         # gives the quotient bit for bit
         np.reciprocal(mag, out=mag)
-        out = np.conjugate(g, out=out)
+        out = np.conjugate(g)
         out *= s
         out *= mag
     return out

@@ -143,10 +143,13 @@ def run_single(cfg: ScenarioConfig) -> RunResult:
     return result
 
 
-def fp_grid(
-    fp_start: float, fp_stop: float, fp_step: float, clock: SampleClock
-) -> tuple[float, ...]:
-    """Inclusive grid with floor((stop-start)/step)+1 points, all below half the clock's rate."""
+# the most runs (grid rates x seeds) one command may ask for; the default
+# sweep makes 510
+MAX_RUNS = 10**6
+
+
+def grid_points(fp_start: float, fp_stop: float, fp_step: float) -> int:
+    """floor((stop-start)/step)+1, the point count of the inclusive grid, without building it."""
     for name, value in (("fp_start", fp_start), ("fp_stop", fp_stop), ("fp_step", fp_step)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -158,7 +161,22 @@ def fp_grid(
     if not steps < math.inf:
         raise ValueError(f"a grid from fp_start {fp_start} to fp_stop {fp_stop} by fp_step "
                          f"{fp_step} has too many points to count")
-    n = int(np.floor(steps + 1e-9)) + 1
+    return int(np.floor(steps + 1e-9)) + 1
+
+
+def check_runs(rates: int, seeds: int) -> None:
+    """Reject a command that would make more than ``MAX_RUNS`` runs."""
+    if rates * seeds > MAX_RUNS:
+        raise ValueError(f"a command may make at most {MAX_RUNS} runs (rates x seeds), "
+                         f"got {rates:.7g} x {seeds}")
+
+
+def fp_grid(
+    fp_start: float, fp_stop: float, fp_step: float, clock: SampleClock
+) -> tuple[float, ...]:
+    """Inclusive grid with ``grid_points`` points, all below half the clock's rate."""
+    n = grid_points(fp_start, fp_stop, fp_step)
+    check_runs(n, 1)
     check_rate(fp_start + (n - 1) * fp_step, clock)  # before a far stop builds a vast grid
     return tuple(fp_start + i * fp_step for i in range(n))
 
@@ -173,9 +191,9 @@ def sweep_fp(
 ) -> SweepResult:
     """Run the pipeline over a rotation-rate grid times a seed list.
 
-    Contiguous chunks of the grid may execute concurrently (``workers``
-    threads); results are merged in (grid, seed) order regardless of
-    completion order, so serial and parallel sweeps emit byte-identical CSVs.
+    The grid's rates may run concurrently (``workers`` threads); results
+    are merged in (grid, seed) order regardless of completion order, so
+    serial and parallel sweeps emit byte-identical CSVs.
     """
     return pipeline.sweep(cfg, fp_grid(fp_start, fp_stop, fp_step, cfg.clock), seeds, workers)
 

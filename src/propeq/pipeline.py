@@ -28,12 +28,11 @@ so are its band bins. The band IFFT is linear too, so the run's series are
 the sums above to roundoff: the default 51-rate, 10-seed sweep makes
 2*51*2 + 2*10 = 224 band IFFTs, not 2 per run. A grid with a single rate or
 a single seed, or without noise, shares no series, so each of its runs makes
-the two band IFFTs of its own received bins, as ``Pipeline.equalized`` does. A band IFFT is a
-batch of short P-point transforms (50 of 640 points on the default clock).
-The tone band is demodulated by shifting its bins to baseband before its
-IFFT, so no carrier is multiplied in. The raw DDM is read from the received
-signal-band bins directly. Each thread runs into its own ``Workspace`` of
-full-length buffers, so a run allocates no full-length array of its own.
+the two band IFFTs of its own received bins, as ``Pipeline.equalized`` does.
+A band IFFT is a batch of short P-point transforms (50 of 640 points on the
+default clock). The tone band is demodulated by shifting its bins to
+baseband before its IFFT, so no carrier is multiplied in. The raw DDM is
+read from the received signal-band bins directly.
 
 A run makes no full-length pass for its checks alone. The divider's one
 |g_hat| pass, which sets the floor, also rejects a g_hat that is not finite
@@ -80,6 +79,8 @@ STAGES = ("modulator", "rx", "equalized")
 # the unit noise series a sweep holds at once: 5 seeds' signal and tone
 # series on the default 32000-point clock, fewer seeds on a longer capture
 NOISE_BLOCK_BYTES = 5 * 2**20
+# the most threads a sweep may ask for; its pool starts min(workers, rates)
+MAX_WORKERS = 64
 
 
 def seeds_per_block(n: int) -> int:
@@ -114,16 +115,6 @@ def _norm(bins: np.ndarray) -> float:
     # A norm too large for a float is inf, which the run's checks reject.
     with np.errstate(over="ignore"):
         return float(np.sqrt(np.sum(np.abs(bins) ** 2)))
-
-
-class Workspace:
-    """Full-length buffers one thread reuses for every run it makes."""
-
-    def __init__(self, n: int):
-        # rows: the run's signal series and its estimate, which the division
-        # then overwrites with the quotient
-        self.run = np.empty((2, n), dtype=np.complex128)
-        self.mag = np.empty(n)
 
 
 class Pipeline:
@@ -206,9 +197,6 @@ class Pipeline:
         noisy = spec.bins + self._noise_scale(clean) * self._noise_spectrum(seed)
         return Spectrum(self.cfg.clock, noisy)
 
-    def workspace(self) -> Workspace:
-        return Workspace(self.cfg.clock.n_samples)
-
     def series(self, signal: np.ndarray, tone: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The band IFFTs of signal-band and tone-band bins, written to ``out``'s two rows.
 
@@ -226,7 +214,6 @@ class Pipeline:
         self,
         mod: Modulated,
         noise: Noise | None,
-        work: Workspace,
         parts: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[float, float]:
         """(ddm_raw, ddm_eq) of one run.
@@ -238,14 +225,14 @@ class Pipeline:
         """
         signal, tone = self._receive(mod, noise)
         ddm_raw = compute_ddm(self._amplitudes(np.append(signal, 0)[self._ddm_pos]))
-        bins = dft_bins(self._ddm_twiddles, self._equalize(mod, noise, signal, tone, work, parts))
+        bins = dft_bins(self._ddm_twiddles, self._equalize(mod, noise, signal, tone, parts))
         # every sample enters every bin, so a non-finite sample shows here
         check_finite(bins, "equalized samples")
         return ddm_raw, compute_ddm(self._amplitudes(bins))
 
     def equalized(self, mod: Modulated, noise: Noise | None) -> SampleBuffer:
         """The equalized capture of one run."""
-        q = self._equalize(mod, noise, *self._receive(mod, noise), self.workspace())
+        q = self._equalize(mod, noise, *self._receive(mod, noise))
         check_finite(q, "equalized samples")
         return SampleBuffer(self.cfg.clock, q)
 
@@ -268,19 +255,19 @@ class Pipeline:
         noise: Noise | None,
         signal: np.ndarray,
         tone: np.ndarray,
-        work: Workspace,
         parts: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
         """The quotient of one run, not yet checked to be finite."""
         self._check_tone_energy(mod, noise, tone)
         if parts is None:
-            s, g = self.series(signal, tone, work.run)
+            n = self.cfg.clock.n_samples
+            s, g = self.series(signal, tone, np.empty((2, n), dtype=np.complex128))
         else:
             # the tone-energy check has bounded every received bin, and so
             # every series sample, far below the float limit: this cannot overflow
             clean, unit = parts
-            s, g = np.add(clean, np.multiply(unit, mod.scale, out=work.run), out=work.run)
-        return regularized_divide(s, g, self.cfg.reg.eps_rel, work.run[1], work.mag)
+            s, g = unit * mod.scale + clean
+        return regularized_divide(s, g, self.cfg.reg.eps_rel)
 
     def _check_tone_energy(self, mod: Modulated, noise: Noise | None, tone: np.ndarray) -> None:
         # ||S + scale*W|| <= ||S|| + scale*||W||; draw the received spectrum
@@ -340,64 +327,56 @@ def sweep(
 ) -> SweepResult:
     """One ``RunResult`` per (rate, seed) and one ``FpSummary`` per rate, in grid order.
 
-    A rate of None keeps the scenario's own propeller rates. With
-    ``workers`` > 1 the rates are split into contiguous chunks, one per
-    thread; the threads share the read-only scenario and noise products and
-    the chunks are merged in grid order, so every number is the same as in a
-    serial sweep.
+    A rate of None keeps the scenario's own propeller rates. Each rate's
+    ``Modulated`` is built once, then each seed block runs one task per rate;
+    with ``workers`` > 1 the tasks run on threads that share the read-only
+    scenario and noise products, and their results are read in grid order,
+    so every number is the same as in a serial sweep.
 
     With noise, more than one rate and more than one seed, the seeds run in
     blocks of ``seeds_per_block``: each block's noise series are made once,
-    then each rate makes its clean series once for the block, and every run
-    sums the two. Otherwise nothing is shared and each run makes its own band
-    IFFTs.
+    then each rate's task makes its clean series once for the block, and
+    every run sums the two. Otherwise nothing is shared, there is one block,
+    and each run makes its own band IFFTs.
     """
     if len(seeds) == 0:
         raise ValueError("seeds must be non-empty")
     if not workers >= 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
     pipe = Pipeline(cfg)
     noises = [pipe.noise(s) for s in seeds]
-    k = min(workers, len(rates))
-    chunks = [rates[len(rates) * i // k : len(rates) * (i + 1) // k] for i in range(k)]
-    works = [pipe.workspace() for _ in chunks]
-    mods: list[list[Modulated]] = [[] for _ in chunks]
     shared = len(rates) > 1 and len(seeds) > 1 and cfg.channel.snr_db is not None
     n = cfg.clock.n_samples
     size = seeds_per_block(n) if shared else len(seeds)
+    # one block's unit noise series, reused by every block: fresh arrays per
+    # block cost a default sweep about a hundred times the page faults
     units = np.empty((min(size, len(seeds)), 2, n), dtype=np.complex128) if shared else None
-    # each chunk's clean series of its current rate
-    cleans = np.empty((k, 2, n), dtype=np.complex128) if shared else [None] * k
 
-    def runs(block, block_units, chunk, chunk_mods, work, clean_out):
-        out = []
-        for i, f_p in enumerate(chunk):
-            if i == len(chunk_mods):  # the first block builds each rate's modulator
-                chunk_mods.append(pipe.modulate(f_p))
-            mod = chunk_mods[i]
-            if block_units is None:
-                out.append([pipe.run(mod, w, work) for w in block])
-            else:
-                clean = pipe.series(mod.signal, mod.tone, clean_out)
-                out.append([pipe.run(mod, w, work, (clean, u)) for w, u in zip(block, block_units)])
-        return out
+    def runs(block, block_units, mod):
+        if block_units is None:
+            return [pipe.run(mod, w) for w in block]
+        clean = pipe.series(mod.signal, mod.tone, np.empty((2, n), dtype=np.complex128))
+        return [pipe.run(mod, w, (clean, u)) for w, u in zip(block, block_units)]
 
     per_rate: list[list[tuple[float, float]]] = [[] for _ in rates]
+    k = min(workers, len(rates))
     with ThreadPoolExecutor(max_workers=k) as pool:
         each = pool.map if k > 1 else map
+        mods = list(each(pipe.modulate, rates))
         for b in range(0, len(seeds), size):
             block = noises[b : b + size]
             block_units = None if units is None else [
                 pipe.series(w.signal, w.tone, u) for w, u in zip(block, units)
             ]
-            parts = each(functools.partial(runs, block, block_units), chunks, mods, works, cleans)
-            for acc, r in zip(per_rate, (r for part in parts for r in part)):
+            for acc, r in zip(per_rate, each(functools.partial(runs, block, block_units), mods)):
                 acc += r
 
     truth = cfg.ils.ddm
     results: list[RunResult] = []
     summaries = []
-    for mod, pairs in zip((m for part in mods for m in part), per_rate):
+    for mod, pairs in zip(mods, per_rate):
         f_p_hz = float(cfg.channel.propellers[0].f_p if mod.f_p is None else mod.f_p)
         records = [RunResult(f_p_hz, seed, raw, eq, abs(raw - truth), abs(eq - truth))
                    for seed, (raw, eq) in zip(seeds, pairs)]

@@ -355,6 +355,36 @@ def test_unusable_grid_flag_is_one_config_error(tmp_path, capsys, command, flag,
     assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--fp-step", "1e-300"],  # 2.5e301 rates, all below Nyquist
+        ["sweep", "--seeds", "100000000000"],
+        ["sweep", "--fp-step", "0.000025", "--seeds", "1"],  # 1000001 rates
+        ["blindspots", "--fp-step", "1e-300"],
+    ],
+)
+def test_a_command_that_asks_for_too_many_runs_is_one_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "never.csv"
+    argv = [*argv, *(["--out", str(out)] if argv[0] == "sweep" else [])]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("propeq: config error: a command may make at most 1000000 runs")
+    assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("workers, code", [("64", 0), ("100000", 1)])
+def test_sweep_caps_its_workers(tmp_path, capsys, workers, code):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--config", small_config(tmp_path), "--fp-start", "30", "--fp-stop", "31",
+            "--fp-step", "1", "--seeds", "1", "--workers", workers, "--out", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"propeq: config error: workers must be <= 64, got {workers}\n"
+    assert out.exists() == (code == 0)
+
+
 # zero, the smallest subnormal, a value near the float limit, the powers of
 # ten between, and the moderate values a working scenario has
 _MAGNITUDE = st.one_of(

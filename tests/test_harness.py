@@ -35,7 +35,7 @@ from propeq import (
     sweep_fp,
     synth_tone,
 )
-from propeq.harness import CSV_HEADER
+from propeq.harness import CSV_HEADER, MAX_RUNS, check_runs
 
 
 def identity_scenario(**overrides):
@@ -176,6 +176,13 @@ def test_sweep_propagates_pipeline_errors(small_clock):
 def test_sweep_needs_at_least_one_worker(small_clock, workers):
     with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
         sweep_fp(small_scenario(small_clock), 20.0, 21.0, 0.5, seeds=[0], workers=workers)
+
+
+def test_check_runs_allows_exactly_max_runs():
+    check_runs(MAX_RUNS, 1)
+    check_runs(1, MAX_RUNS)
+    with pytest.raises(ValueError, match=f"at most {MAX_RUNS} runs"):
+        check_runs(1000, 1001)
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,8 @@ def test_serial_and_threaded_multiprop_csv_identical(tmp_path):
 
 
 def test_threaded_sweep_over_two_seed_blocks_matches_serial():
-    # the workers read each block's shared noise series and keep
-    # their rates' modulators from one block to the next
+    # the workers read each block's shared noise series and the
+    # rates' modulators, which are built once before the first block
     cfg = default_scenario()
     seeds = list(range(seeds_per_block(cfg.clock.n_samples) + 1))
     serial = sweep_fp(cfg, 20.0, 22.0, 0.5, seeds=seeds)
@@ -326,7 +326,7 @@ def test_corrupt_band_ifft_keeps_its_error(monkeypatch, case, path):
     mod, noise = pipe.modulate(), pipe.noise(0)
     with pytest.raises(ValueError) as exc:
         if path == "run":
-            pipe.run(mod, noise, pipe.workspace())
+            pipe.run(mod, noise)
         else:
             pipe.equalized(mod, noise)
     assert exc.type is ValueError

@@ -1,14 +1,16 @@
-"""Regression tables the engine must keep: the benchmark's golden DDMs and
-the divider's noiseless floor."""
+"""Regression tables the engine must keep: the benchmark's golden DDMs of
+its serial default and threaded multiprop sweeps, and the divider's
+noiseless floor."""
 
 import csv
 from pathlib import Path
 
 import pytest
 
-from propeq import default_scenario, scenario_with, sweep_fp
+from propeq import default_scenario, load_config, scenario_with, sweep_fp
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.csv"
+MULTIPROP = GOLDEN.parent / "multiprop.json"
 
 # |ddm_eq - truth| of the noiseless default scenario at 15, 15.5, ..., 40 Hz.
 # The regularized divider cannot do better, because the tone band truncates
@@ -32,15 +34,27 @@ NOISELESS_FLOOR = (
 FLOOR_ROUNDOFF = 1e-12
 
 
-def test_default_sweep_matches_the_golden_table():
+def _assert_matches_golden(workload, sweep):
     with GOLDEN.open(newline="") as fh:
-        rows = [r for r in csv.DictReader(fh) if r["workload"] == "sweep_default"]
-    sweep = sweep_fp(default_scenario(), 15.0, 40.0, 0.5, seeds=range(10))
-    assert len(rows) == len(sweep.results) == 510
+        rows = [r for r in csv.DictReader(fh) if r["workload"] == workload]
+    assert len(rows) == len(sweep.results)
     for row, got in zip(rows, sweep.results):
         assert (float(row["f_p"]), int(row["seed"])) == (got.f_p_hz, got.seed)
         assert got.ddm_raw == pytest.approx(float(row["ddm_raw"]), rel=0, abs=1e-12)
         assert got.ddm_eq == pytest.approx(float(row["ddm_eq"]), rel=0, abs=1e-12)
+
+
+def test_default_sweep_matches_the_golden_table():
+    sweep = sweep_fp(default_scenario(), 15.0, 40.0, 0.5, seeds=range(10))
+    assert len(sweep.results) == 510
+    _assert_matches_golden("sweep_default", sweep)
+
+
+def test_threaded_multiprop_sweep_matches_the_golden_table():
+    # the benchmark's report workload: 3 propellers, 26 rates, 2 worker threads
+    sweep = sweep_fp(load_config(MULTIPROP), 15.0, 40.0, 1.0, seeds=range(10), workers=2)
+    assert len(sweep.results) == 260
+    _assert_matches_golden("report_multiprop_w2", sweep)
 
 
 def test_noiseless_divider_floor_does_not_rise():
