@@ -187,10 +187,22 @@ def noise_scale(clean: np.ndarray, snr_db: float) -> float:
     A capture too loud for its power to be a float gives an infinite scale,
     which the caller rejects, not an overflow warning.
     """
+    return power_noise_scale(mean_power(clean), snr_db)
+
+
+def mean_power(clean: np.ndarray) -> float:
+    """mean(|clean|^2); inf, without an overflow warning, for a capture too loud for a float."""
     with np.errstate(over="ignore"):
-        p_sig = float(np.mean(np.abs(clean) ** 2))
-    p_noise = p_sig / 10.0 ** (snr_db / 10.0)
-    return np.sqrt(p_noise / 2.0)
+        return float(np.mean(np.abs(clean) ** 2))
+
+
+def power_noise_scale(p_sig: float, snr_db: float) -> float:
+    """``noise_scale`` of a capture whose mean power is ``p_sig``.
+
+    The scale is a numpy float, so arithmetic on it overflows to inf instead
+    of raising.
+    """
+    return np.sqrt(p_sig / 10.0 ** (snr_db / 10.0) / 2.0)
 
 
 def unit_noise(seed: int, n: int) -> np.ndarray:

@@ -224,16 +224,24 @@ def load_sweep_csv(path: str | Path) -> tuple[RunResult, ...]:
         )
 
 
+_DUMP_ROWS = 4096
+
+
 def dump_spectrum(spec: Spectrum, path: str | Path) -> None:
     """CSV dump: freq_hz,re,im,mag_db rows in ascending folded frequency."""
     f = folded_frequencies(spec.clock)
     order = np.argsort(f, kind="stable")
-    lines = ["freq_hz,re,im,mag_db"]
-    for i in order:
-        b = spec.bins[i]
-        mag_db = float(20.0 * np.log10(abs(b) + 1e-20))
-        lines.append(f"{float(f[i])!r},{float(b.real)!r},{float(b.imag)!r},{mag_db!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    freqs, bins = f[order], spec.bins[order]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("freq_hz,re,im,mag_db\n")
+        # in blocks of rows, so no more than a block of values is held as Python objects
+        for lo in range(0, len(bins), _DUMP_ROWS):
+            block = bins[lo : lo + _DUMP_ROWS]
+            # Python's abs of each bin: np.abs of a complex array can differ in the last bit
+            mag_db = 20.0 * np.log10(np.array([abs(b) for b in block.tolist()]) + 1e-20)
+            columns = (freqs[lo : lo + _DUMP_ROWS], block.real, block.imag, mag_db)
+            fh.writelines(",".join(row) + "\n"
+                          for row in zip(*(map(repr, c.tolist()) for c in columns)))
 
 
 def emit_plot(result: SweepResult, path: str | Path) -> None:

@@ -4,13 +4,22 @@ One run is synth -> channel -> FFT -> extract -> equalize -> DDM. Across the
 runs of a sweep most of that work is shared, so the engine computes each
 product once, at the outermost layer it depends on:
 
-* per scenario (``Pipeline``): the transmit signal, the signed bin offsets
-  of both bands, their polyphase IFFT plans (``BandIfft``), and the DFT
-  twiddles of the DDM and blind-spot bins;
-* per rate (``Modulated``): the modulator and FFT(tx*m), of which only the
-  signal-band and tone-band bins, their norm, the noise scale and the
-  blind-spot flags are kept; then, once per seed block, the two band series
-  of those clean bins (s_c, g_c; see ``Pipeline.series``);
+* per clock (``spectral.band_ifft``, ``band_offsets``, ``dft_twiddles``):
+  the signed bin offsets of both bands, their polyphase IFFT plans
+  (``BandIfft``), and the DFT twiddles of the DDM and blind-spot bins. They
+  are read-only and cached, so every ``Pipeline`` on the same clock shares
+  them: a sweep, a run of ``simulate``, a stage dump;
+* per scenario (``Pipeline``): the transmit's six spectral lines c_k (the
+  carrier, the 90 and 150 Hz tones at +-f, and the reference tone), one
+  period of the transmit built from them in closed form (3200 samples on the
+  default clock), which feeds the finiteness check and the noise power, and
+  for each band bin j the bins j-k of the modulator spectrum that each line
+  k gathers;
+* per rate (``Modulated``): the modulator m, its rfft M and the band bins of
+  FFT(tx*m)[j] = sum_k c_k M[j-k], gathered line by line; the noise scale
+  and, by Parseval, the norm ||FFT(tx*m)||, both from mean|tx*m|^2 with tx
+  tiled by its period; and the blind-spot flags. Then, once per seed block,
+  the two band series of those clean bins (s_c, g_c; see ``Pipeline.series``);
 * per seed (``Noise``): the unit noise spectrum W, of which only the band
   bins and the norm are kept;
 * per seed block: the two band series of each seed's unit noise bins (s_w,
@@ -34,6 +43,10 @@ default clock). The tone band is demodulated by shifting its bins to
 baseband before its IFFT, so no carrier is multiplied in. The raw DDM is
 read from the received signal-band bins directly.
 
+No run synthesizes the transmit sample by sample. Only ``rx_spectrum``
+does, once per ``Pipeline`` and on first use: a stage dump, and a run whose
+tone energy its bound cannot decide, read the full received spectrum.
+
 A run makes no full-length pass for its checks alone. The divider's one
 |g_hat| pass, which sets the floor, also rejects a g_hat that is not finite
 or carries no energy, and it multiplies by the reciprocal of the floored
@@ -51,7 +64,15 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .channel import check_seed, eval_modulator, modulator_spectrum, noise_scale, unit_noise
+from .channel import (
+    check_seed,
+    eval_modulator,
+    mean_power,
+    modulator_spectrum,
+    noise_scale,
+    power_noise_scale,
+    unit_noise,
+)
 from .equalizer import (
     critical_twiddles,
     flag_blind_spots,
@@ -62,8 +83,8 @@ from .equalizer import (
 from .metrics import DDM_FREQS, amplitudes_from_bins, compute_ddm
 from .signals import SampleBuffer, check_finite, synth_ils, synth_tone
 from .spectral import (
-    BandIfft,
     Spectrum,
+    band_ifft,
     band_offsets,
     bin_index,
     dft_bins,
@@ -110,6 +131,28 @@ class Noise:
     norm: float
 
 
+def _transmit_lines(cfg: ScenarioConfig) -> tuple[list[int], list[complex]]:
+    """The transmit's six spectral lines: their bins k (mod N) and amplitudes c_k.
+
+    tx[t] = sum_k c_k exp(2*pi*i*k*t/N). The real ILS puts a_c at 0 Hz and
+    splits each AM tone into conjugate halves at +-90 and +-150 Hz; the
+    reference tone is one line at its offset. The scenario requires every
+    one of them to be an exact bin.
+    """
+    ils, tone = cfg.ils, cfg.tone
+    half_90 = ils.a_90 / 2 * np.exp(1j * ils.phase_90)
+    half_150 = ils.a_150 / 2 * np.exp(1j * ils.phase_150)
+    lines = {
+        0.0: complex(ils.a_c),
+        90.0: half_90,
+        -90.0: np.conj(half_90),
+        150.0: half_150,
+        -150.0: np.conj(half_150),
+        tone.offset_hz: tone.amp * np.exp(1j * tone.phase),
+    }
+    return [bin_index(cfg.clock, f) for f in lines], list(lines.values())
+
+
 def _norm(bins: np.ndarray) -> float:
     # not np.linalg.norm: its BLAS threads spin on the other cores between calls.
     # A norm too large for a float is inf, which the run's checks reject.
@@ -124,51 +167,75 @@ class Pipeline:
         self.cfg = cfg
         clock = cfg.clock
         n = clock.n_samples
-        # amplitudes near the float limit overflow here and in ``modulate``;
-        # the finiteness checks reject them, so numpy need not warn
-        with np.errstate(over="ignore"):
-            self._tx = synth_ils(cfg.ils, clock).samples + synth_tone(cfg.tone, clock).samples
-        check_finite(self._tx, "transmitted samples")
+        bins, amps = _transmit_lines(cfg)
+        # one period of the transmit, P = N/g samples for g = gcd(N, bins):
+        # sum_k c_k exp(2 pi i (k/g)*t/P), the exponent reduced modulo P in
+        # integers and read from one table of P-th roots of unity. Amplitudes
+        # near the float limit overflow here; the check rejects them, unwarned.
+        g = math.gcd(n, *bins)
+        t = np.arange(n // g)
+        roots = np.exp(2j * np.pi * t / len(t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._tx_period = sum(c * roots[k // g * t % len(t)] for k, c in zip(bins, amps))
+        check_finite(self._tx_period, "transmitted samples")
         signal = band_offsets(clock, cfg.signal_band)
         tone = band_offsets(clock, cfg.tone_band)
         self._signal_idx = signal % n
         self._tone_idx = tone % n
-        self._signal_ifft = BandIfft(n, signal)
+        # bin j of FFT(tx*m) is sum_k c_k M[j-k]: each band bin gathers the
+        # rfft M of the real modulator at j-k mod N, conjugated above N/2
+        r = (np.concatenate([signal, tone])[None, :] - np.array(bins)[:, None]) % n
+        self._upper = r > n // 2
+        self._gather = np.where(self._upper, n - r, r)
+        self._amps = np.array(amps)[:, None]
+        self._signal_ifft = band_ifft(n, int(signal[0]), len(signal))
         # demodulating is shifting the tone bins down by the tone's bin k0 and
-        # scaling them by the carrier's exp(-i*phase)/amp; no carrier is built
+        # scaling them by the carrier's exp(-i*phase)/amp; no carrier is built.
+        # The default bands share one plan.
         k0 = bin_index(clock, cfg.tone.offset_hz)
-        shifted = tone - (k0 - n if k0 > n // 2 else k0)
-        same = np.array_equal(shifted, signal)  # the default bands share one plan
-        self._tone_ifft = self._signal_ifft if same else BandIfft(n, shifted)
+        self._tone_ifft = band_ifft(n, int(tone[0]) - (k0 - n if k0 > n // 2 else k0), len(tone))
         self._tone_gain = np.exp(-1j * cfg.tone.phase) / cfg.tone.amp
         # where each DDM bin sits in the signal band; a bin outside the band
         # reads the 0 appended after it, as the windowed spectrum would
-        pos = {k: j for j, k in enumerate(self._signal_idx)}
-        self._ddm_pos = [pos.get(bin_index(clock, f), len(signal)) for f in DDM_FREQS]
+        pos = (np.array([bin_index(clock, f) for f in DDM_FREQS]) - signal[0]) % n
+        self._ddm_pos = np.minimum(pos, len(signal))
         self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
         self._critical_twiddles = critical_twiddles(clock)
 
-    def _capture(self, f_p: float | None) -> tuple[np.ndarray, np.ndarray]:
-        """The modulator samples m and the noiseless capture tx*m at rate ``f_p``."""
+    @functools.cached_property
+    def _tx(self) -> np.ndarray:
+        """The transmit synthesized sample by sample, for the full received spectrum."""
+        clock = self.cfg.clock
+        with np.errstate(over="ignore"):
+            return synth_ils(self.cfg.ils, clock).samples + synth_tone(self.cfg.tone, clock).samples
+
+    def _modulator(self, f_p: float | None) -> np.ndarray:
+        """The real modulator samples at rate ``f_p``."""
         channel = self.cfg.channel if f_p is None else self.cfg.channel.with_rate(f_p)
         with np.errstate(over="ignore"):
-            m = eval_modulator(channel, self.cfg.clock).samples
-            return m, self._tx * m.real
-
-    def _noise_scale(self, clean: np.ndarray) -> float:
-        snr_db = self.cfg.channel.snr_db
-        return 0.0 if snr_db is None else noise_scale(clean, snr_db)
+            return eval_modulator(channel, self.cfg.clock).samples.real
 
     def modulate(self, f_p: float | None = None) -> Modulated:
         """The scenario's modulator, with every propeller at ``f_p`` if given."""
-        m, clean = self._capture(f_p)
-        bins = forward_fft(SampleBuffer(self.cfg.clock, clean)).bins
+        m = self._modulator(f_p)
+        # a loud transmit overflows here; the checks reject what is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            spec = np.fft.rfft(m)[self._gather]
+            np.conjugate(spec, out=spec, where=self._upper)
+            spec *= self._amps
+            bins = spec.sum(axis=0)
+            # mean |tx*m|^2 of the product itself: |tx|^2 * m^2 can be inf * 0
+            clean = m.reshape(-1, len(self._tx_period)) * self._tx_period
+        check_finite(bins, "bins")
+        power = mean_power(clean)
+        snr_db = self.cfg.channel.snr_db
+        width = len(self._signal_idx)
         return Modulated(
             f_p=f_p,
-            scale=self._noise_scale(clean),
-            signal=bins[self._signal_idx],
-            tone=bins[self._tone_idx],
-            norm=_norm(bins),
+            scale=0.0 if snr_db is None else power_noise_scale(power, snr_db),
+            signal=bins[:width],
+            tone=bins[width:],
+            norm=self.cfg.clock.n_samples * np.sqrt(power),  # Parseval
             flags=flag_blind_spots(self._critical_twiddles, m),
         )
 
@@ -188,13 +255,16 @@ class Pipeline:
         """The full received spectrum at rate ``f_p`` with ``seed``'s noise.
 
         A rate of None keeps the scenario's own; a seed of None adds no noise.
-        A ``Modulated`` keeps only band bins, so this computes FFT(tx*m) again.
+        A ``Modulated`` keeps only band bins, so this computes FFT(tx*m) from
+        the synthesized transmit, as the reference chain does.
         """
-        _, clean = self._capture(f_p)
+        snr_db = self.cfg.channel.snr_db
+        with np.errstate(over="ignore"):
+            clean = self._tx * self._modulator(f_p)
         spec = forward_fft(SampleBuffer(self.cfg.clock, clean))
-        if seed is None:
+        if seed is None or snr_db is None:
             return spec
-        noisy = spec.bins + self._noise_scale(clean) * self._noise_spectrum(seed)
+        noisy = spec.bins + noise_scale(clean, snr_db) * self._noise_spectrum(seed)
         return Spectrum(self.cfg.clock, noisy)
 
     def series(self, signal: np.ndarray, tone: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -15,6 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# the longest capture a clock may describe: a run holds a few full-length
+# complex arrays, 64 MiB each at this length, and nothing is allocated
+# before the clock is checked
+MAX_SAMPLES = 2**22
+
+
 @dataclass(frozen=True)
 class SampleClock:
     """Sample rate and capture length of one processing block.
@@ -33,6 +39,8 @@ class SampleClock:
         # 2**63 bounds any numpy array length (and keeps bin_hz a float)
         if type(self.n_samples) is not int or not 0 < self.n_samples < 2**63:
             raise ValueError(f"n_samples must be a positive int below 2**63, got {self.n_samples}")
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(f"n_samples must be at most {MAX_SAMPLES}, got {self.n_samples}")
         if not self.bin_hz > 0:
             raise ValueError(f"bin spacing {self.rate_hz} Hz / {self.n_samples} underflows to 0")
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from statistics import median
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from propeq.cli import main
 from propeq.harness import CSV_HEADER, load_sweep_csv
+from propeq.signals import MAX_SAMPLES
 
 
 def small_config(tmp_path, **channel_overrides):
@@ -448,3 +450,40 @@ def test_main_ends_every_drawn_config_in_an_exit_code(config):
             assert code in (0, 1, 2)
             if code:
                 assert err.getvalue().startswith("propeq: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("n_samples", [MAX_SAMPLES + 1, 2**40])
+def test_a_clock_over_the_sample_limit_is_one_config_error(tmp_path, capsys, n_samples):
+    # the clock is checked before anything of its length is allocated
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"clock": {"n_samples": n_samples}}))
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * MAX_SAMPLES // 8
+    assert capsys.readouterr().err == (
+        f"propeq: config error: clock: n_samples must be at most {MAX_SAMPLES}, got {n_samples}\n"
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_transmit_that_overflows_only_in_its_product_with_the_chop_is_one_config_error(
+    tmp_path, capsys
+):
+    # a 1 Hz sine chop has no content where the 90 Hz lines gather their band
+    # bins, so those are finite, yet tx*m overflows; the capture's power is
+    # inf, and the received spectrum drawn for the energy check is rejected
+    path = tmp_path / "loud_90.json"
+    path.write_text(json.dumps({
+        "ils": {"a_90": 1.7e308},
+        "channel": {"propellers": [{"shape": {"kind": "sine", "beta": 0.5}, "f_p": 1.0}],
+                    "snr_db": None},
+        "signal_half_width_hz": 50.0,
+        "tone_half_width_hz": 50.0,
+    }))
+    for command in (["simulate"], _TWO_BY_TWO + ["--out", str(tmp_path / "never.csv")]):
+        assert main([*command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "propeq: config error: samples must be finite\n"

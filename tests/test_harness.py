@@ -36,6 +36,7 @@ from propeq import (
     synth_tone,
 )
 from propeq.harness import CSV_HEADER, MAX_RUNS, check_runs
+from propeq.spectral import Spectrum, folded_frequencies
 
 
 def identity_scenario(**overrides):
@@ -239,6 +240,30 @@ def test_dump_spectrum_format(small_clock, tmp_path):
         assert mag_db == pytest.approx(20 * np.log10(abs(complex(re, im)) + 1e-20))
     assert freqs == sorted(freqs)
     assert mags[1500.0][2] == pytest.approx(20 * np.log10(small_clock.n_samples), abs=1e-9)
+
+
+def _dump_per_bin(spec, path):
+    """The spectrum dump written one bin at a time, with Python's abs and numpy's log10."""
+    f = folded_frequencies(spec.clock)
+    lines = ["freq_hz,re,im,mag_db"]
+    for i in np.argsort(f, kind="stable"):
+        b = spec.bins[i]
+        mag_db = float(20.0 * np.log10(abs(b) + 1e-20))
+        lines.append(f"{float(f[i])!r},{float(b.real)!r},{float(b.imag)!r},{mag_db!r}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("n", [1, 4096, 9001])
+def test_dump_spectrum_matches_a_per_bin_dump_byte_for_byte(tmp_path, n):
+    # magnitudes over the whole float range, and lengths around the dump's
+    # block of rows; np.abs would change the last digit of some mag_db values
+    rng = np.random.default_rng(n)
+    bins = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-300, 300, n)
+    spec = Spectrum(SampleClock(rate_hz=float(n), n_samples=n), bins)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dump_spectrum(spec, got)
+    _dump_per_bin(spec, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 # ---------------------------------------------------------------------------

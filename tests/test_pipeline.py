@@ -7,11 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propeq import (
     CarrierLostError,
     ChannelConfig,
     CustomCycle,
+    IlsParams,
     PropellerModel,
     SampleClock,
     ScenarioConfig,
@@ -29,9 +32,10 @@ from propeq import (
     sweep_fp,
 )
 from propeq.cli import main
-from propeq.harness import DEFAULT_PROPELLER_PHASE, DEFAULT_SQUARE, simulate
+from propeq.harness import DEFAULT_PROPELLER_PHASE, DEFAULT_SQUARE, emit_csv, simulate
 from propeq.equalizer import BLIND_SPOT_THRESHOLD
 from propeq.pipeline import STAGES, Pipeline, seeds_per_block, stage_spectrum
+from propeq.spectral import band_ifft, band_offsets, dft_twiddles
 
 import oracles
 
@@ -331,3 +335,97 @@ def test_corrupt_band_ifft_keeps_its_error(monkeypatch, case, path):
             pipe.equalized(mod, noise)
     assert exc.type is ValueError
     assert str(exc.value) == message
+
+
+def _assert_lines_match_synth(cfg):
+    """``modulate``'s band bins, norm and noise scale against FFT(synth*m).
+
+    The bins agree to 1e-12 of the largest bin of the reference spectrum; the
+    norm and the scale, which follow from its energy by Parseval, to a
+    relative 1e-12.
+    """
+    mod = Pipeline(cfg).modulate()
+    want = oracles.received(scenario_with(cfg, snr_db=None))
+    n = cfg.clock.n_samples
+    tol = 1e-12 * np.abs(want).max()
+    for got, band in ((mod.signal, cfg.signal_band), (mod.tone, cfg.tone_band)):
+        np.testing.assert_allclose(got, want[band_offsets(cfg.clock, band) % n], rtol=0, atol=tol)
+    energy = float(np.sum(np.abs(want) ** 2))
+    assert mod.norm == pytest.approx(math.sqrt(energy), rel=1e-12, abs=0)
+    snr_db = cfg.channel.snr_db
+    scale = 0.0 if snr_db is None else math.sqrt(energy / n**2 / 10 ** (snr_db / 10) / 2)
+    assert mod.scale == pytest.approx(scale, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name", ["default", "multiprop", "noiseless", "narrow_signal"])
+def test_six_line_bands_match_the_synthesized_transmit(name):
+    _assert_lines_match_synth(SCENARIOS[name])
+
+
+def test_six_line_bands_where_a_gather_wraps_past_half_the_clock():
+    # on a 3600-point clock the tone band reaches 1800 Hz, the Nyquist bin,
+    # and a tone-band bin minus the -150 Hz line lies past N/2, so the
+    # modulator's rfft is read conjugated from the mirrored bin; the square
+    # chop has harmonics there
+    cfg = single(DEFAULT_SQUARE, f_p=25.0, clock=SampleClock(rate_hz=3600.0, n_samples=3600))
+    assert band_offsets(cfg.clock, cfg.tone_band).max() + 150 > cfg.clock.n_samples // 2
+    _assert_lines_match_synth(cfg)
+
+
+_PHASE = st.floats(0.0, 2 * math.pi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([3600, 4000, 6400]),
+    amps=st.tuples(st.floats(0.1, 10.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+                   st.floats(1e-3, 10.0)),
+    phases=st.tuples(_PHASE, _PHASE, _PHASE, _PHASE),
+    f_p=st.floats(1.0, 200.0),
+    snr_db=st.sampled_from([None, 20.0]),
+)
+def test_six_line_bands_match_drawn_transmits(n, amps, phases, f_p, snr_db):
+    a_c, a_90, a_150, amp = amps
+    phase_90, phase_150, tone_phase, prop_phase = phases
+    prop = PropellerModel(shape=DEFAULT_SQUARE, f_p=f_p, phase=prop_phase)
+    cfg = ScenarioConfig(
+        clock=SampleClock(rate_hz=float(n), n_samples=n),
+        ils=IlsParams(a_c, a_90, a_150, phase_90, phase_150),
+        tone=ToneParams(amp=amp, phase=tone_phase),
+        channel=ChannelConfig((prop,), snr_db=snr_db),
+    )
+    _assert_lines_match_synth(cfg)
+
+
+def test_pipelines_on_one_clock_share_read_only_plans():
+    a, b = Pipeline(default_scenario()), Pipeline(SCENARIOS["multiprop"])
+    assert a._signal_ifft is b._signal_ifft
+    assert a._tone_ifft is b._tone_ifft
+    assert a._ddm_twiddles is b._ddm_twiddles
+    assert a._critical_twiddles is b._critical_twiddles
+    assert Pipeline(SCENARIOS["clock6400"])._signal_ifft is not a._signal_ifft
+    cached = (a._signal_ifft._twiddles, *a._ddm_twiddles, *a._critical_twiddles,
+              band_offsets(a.cfg.clock, a.cfg.tone_band))
+    for arr in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_threaded_sweep_on_shared_plans_matches_a_fresh_serial_one(tmp_path):
+    # the serial sweep builds the plans afresh; another scenario on the same
+    # clock then reuses them, and so does a threaded sweep of the first
+    for cache in (band_ifft, band_offsets, dft_twiddles):
+        cache.cache_clear()
+    cfg = SCENARIOS["multiprop"]
+    serial = sweep_fp(cfg, 20.0, 24.0, 1.0, seeds=[0, 1, 2])
+    sweep_fp(default_scenario(), 20.0, 21.0, 1.0, seeds=[0, 1])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sweep_fp(cfg, 20.0, 24.0, 1.0, seeds=[0, 1, 2], workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    a, b = tmp_path / "serial.csv", tmp_path / "threaded.csv"
+    emit_csv(serial, a)
+    emit_csv(threaded, b)
+    assert a.read_bytes() == b.read_bytes()

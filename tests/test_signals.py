@@ -19,6 +19,7 @@ from propeq import (
 )
 from propeq.metrics import DDM_FREQS, amplitudes_from_bins
 from propeq.pipeline import Pipeline
+from propeq.signals import MAX_SAMPLES
 from propeq.spectral import dft_bins, dft_twiddles
 
 
@@ -37,6 +38,13 @@ def test_default_clock_has_1hz_bins(clock):
 def test_invalid_clock_rejected(kwargs):
     with pytest.raises(ValueError):
         SampleClock(**kwargs)
+
+
+def test_clock_takes_at_most_max_samples():
+    # a clock only describes its capture; nothing of its length is allocated
+    assert SampleClock(rate_hz=float(MAX_SAMPLES), n_samples=MAX_SAMPLES).bin_hz == 1.0
+    with pytest.raises(ValueError, match=f"n_samples must be at most {MAX_SAMPLES}"):
+        SampleClock(n_samples=MAX_SAMPLES + 1)
 
 
 def test_buffer_length_and_finiteness(small_clock):
