@@ -258,7 +258,8 @@ def test_dump_spectrum_matches_a_per_bin_dump_byte_for_byte(tmp_path, n):
     # magnitudes over the whole float range, and lengths around the dump's
     # block of rows; np.abs would change the last digit of some mag_db values
     rng = np.random.default_rng(n)
-    bins = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-300, 300, n)
+    magnitudes = 10.0 ** rng.integers(-300, 300, n)
+    bins = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * magnitudes
     spec = Spectrum(SampleClock(rate_hz=float(n), n_samples=n), bins)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     dump_spectrum(spec, got)
