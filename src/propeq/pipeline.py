@@ -4,17 +4,13 @@ One run is synth -> channel -> FFT -> extract -> equalize -> DDM. Across the
 runs of a sweep most of that work is shared, so the engine computes each
 product once, at the outermost layer it depends on:
 
-* per clock (``spectral.band_ifft``, ``band_offsets``, ``dft_twiddles``):
-  the signed bin offsets of both bands, their polyphase IFFT plans
-  (``BandIfft``), and the DFT twiddles of the DDM and blind-spot bins. They
-  are read-only and cached, so every ``Pipeline`` on the same clock shares
-  them: a sweep, a run of ``simulate``, a stage dump;
 * per scenario (``Pipeline``): the transmit's six spectral lines c_k (the
   carrier, the 90 and 150 Hz tones at +-f, and the reference tone), one
   period of the transmit built from them in closed form (3200 samples on the
-  default clock), which feeds the finiteness check and the noise power, and
-  for each band bin j the bins j-k of the modulator spectrum that each line
-  k gathers;
+  default clock), which feeds the finiteness check and the noise power; for
+  each band bin j the bins j-k of the modulator spectrum that each line k
+  gathers; the signed bin offsets of both bands, their polyphase IFFT plans
+  (``BandIfft``), and the DFT twiddles of the DDM and blind-spot bins;
 * per rate (``Modulated``): the modulator m, its rfft M and the band bins of
   FFT(tx*m)[j] = sum_k c_k M[j-k], gathered line by line; the noise scale
   and, by Parseval, the norm ||FFT(tx*m)||, both from mean|tx*m|^2 with tx
@@ -83,8 +79,8 @@ from .equalizer import (
 from .metrics import DDM_FREQS, amplitudes_from_bins, compute_ddm
 from .signals import SampleBuffer, check_finite, synth_ils, synth_tone
 from .spectral import (
+    BandIfft,
     Spectrum,
-    band_ifft,
     band_offsets,
     bin_index,
     dft_bins,
@@ -188,17 +184,18 @@ class Pipeline:
         self._upper = r > n // 2
         self._gather = np.where(self._upper, n - r, r)
         self._amps = np.array(amps)[:, None]
-        self._signal_ifft = band_ifft(n, int(signal[0]), len(signal))
+        self._signal_ifft = BandIfft(n, signal)
         # demodulating is shifting the tone bins down by the tone's bin k0 and
-        # scaling them by the carrier's exp(-i*phase)/amp; no carrier is built.
-        # The default bands share one plan.
+        # scaling them by the carrier's exp(-i*phase)/amp; no carrier is built
         k0 = bin_index(clock, cfg.tone.offset_hz)
-        self._tone_ifft = band_ifft(n, int(tone[0]) - (k0 - n if k0 > n // 2 else k0), len(tone))
+        shifted = tone - (k0 - n if k0 > n // 2 else k0)
+        same = np.array_equal(shifted, signal)  # the default bands share one plan
+        self._tone_ifft = self._signal_ifft if same else BandIfft(n, shifted)
         self._tone_gain = np.exp(-1j * cfg.tone.phase) / cfg.tone.amp
         # where each DDM bin sits in the signal band; a bin outside the band
         # reads the 0 appended after it, as the windowed spectrum would
-        pos = (np.array([bin_index(clock, f) for f in DDM_FREQS]) - signal[0]) % n
-        self._ddm_pos = np.minimum(pos, len(signal))
+        pos = {k: j for j, k in enumerate(self._signal_idx)}
+        self._ddm_pos = [pos.get(bin_index(clock, f), len(signal)) for f in DDM_FREQS]
         self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
         self._critical_twiddles = critical_twiddles(clock)
 

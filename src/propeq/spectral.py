@@ -8,7 +8,6 @@ spectrum corresponds to frequency k*(rate/N) folded into (-rate/2, rate/2]
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -109,19 +108,15 @@ def band_bins(clock: SampleClock, band: BandSpec) -> np.ndarray:
     return np.flatnonzero((f >= band.lo_hz) & (f <= band.hi_hz))
 
 
-@functools.lru_cache(maxsize=8)
 def band_offsets(clock: SampleClock, band: BandSpec) -> np.ndarray:
     """Signed bin offsets of ``band`` in ascending order of frequency.
 
     ``band_offsets(...) % N`` are the indices ``band_bins`` returns; a band
     through 0 Hz comes out contiguous instead of split at the array end.
-    The offsets are read-only and cached per (clock, band).
     """
     n = clock.n_samples
     idx = band_bins(clock, band)
-    offsets = np.sort(np.where(idx > n // 2, idx - n, idx))
-    offsets.flags.writeable = False
-    return offsets
+    return np.sort(np.where(idx > n // 2, idx - n, idx))
 
 
 class BandIfft:
@@ -155,7 +150,6 @@ class BandIfft:
         # the exponent is reduced modulo N in integers, as in dft_twiddles
         self._twiddles = np.exp(2j * np.pi * (np.outer(offsets % n, np.arange(self.l)) % n) / n)
         self._twiddles /= self.l
-        self._twiddles.flags.writeable = False  # shared by every caller of band_ifft
         # k mod P of a contiguous band is at most two runs of grid rows; the
         # other rows are zeroed on every call
         start, stop = k_lo % self.p, k_lo % self.p + width
@@ -183,34 +177,20 @@ class BandIfft:
         return out
 
 
-@functools.lru_cache(maxsize=8)
-def band_ifft(n: int, k_lo: int, width: int) -> BandIfft:
-    """The ``BandIfft`` of the ``width`` bins from signed offset ``k_lo``, shared per clock.
-
-    Its plan is read-only, so every ``Pipeline`` on the same clock and bands
-    reuses one, across scenarios and threads.
-    """
-    return BandIfft(n, np.arange(k_lo, k_lo + width))
-
-
-@functools.lru_cache(maxsize=8)
 def dft_twiddles(clock: SampleClock, freqs: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     """One period of exp(-2*pi*i*k*n/N) for the exact bin k of each of ``freqs``.
 
     k*n mod N repeats every P = N/gcd(k, N) samples, so P twiddles describe
     a whole DFT row: on the default clock 3200 for 90 Hz, 640 for 150 Hz,
     and 1 for 0 Hz. The exponent is reduced modulo N in integers, so every
-    twiddle is accurate to roundoff. The twiddles are read-only and cached
-    per (clock, freqs), so every caller on the same clock shares them.
+    twiddle is accurate to roundoff.
     """
     n = clock.n_samples
     out = []
     for f in freqs:
         k = bin_index(clock, f)
         period = n // math.gcd(k, n)
-        tw = np.exp(-2j * np.pi * (k * np.arange(period) % n) / n)
-        tw.flags.writeable = False
-        out.append(tw)
+        out.append(np.exp(-2j * np.pi * (k * np.arange(period) % n) / n))
     return tuple(out)
 
 

@@ -32,10 +32,10 @@ from propeq import (
     sweep_fp,
 )
 from propeq.cli import main
-from propeq.harness import DEFAULT_PROPELLER_PHASE, DEFAULT_SQUARE, emit_csv, simulate
+from propeq.harness import DEFAULT_PROPELLER_PHASE, DEFAULT_SQUARE, simulate
 from propeq.equalizer import BLIND_SPOT_THRESHOLD
 from propeq.pipeline import STAGES, Pipeline, seeds_per_block, stage_spectrum
-from propeq.spectral import band_ifft, band_offsets, dft_twiddles
+from propeq.spectral import band_offsets
 
 import oracles
 
@@ -395,37 +395,3 @@ def test_six_line_bands_match_drawn_transmits(n, amps, phases, f_p, snr_db):
         channel=ChannelConfig((prop,), snr_db=snr_db),
     )
     _assert_lines_match_synth(cfg)
-
-
-def test_pipelines_on_one_clock_share_read_only_plans():
-    a, b = Pipeline(default_scenario()), Pipeline(SCENARIOS["multiprop"])
-    assert a._signal_ifft is b._signal_ifft
-    assert a._tone_ifft is b._tone_ifft
-    assert a._ddm_twiddles is b._ddm_twiddles
-    assert a._critical_twiddles is b._critical_twiddles
-    assert Pipeline(SCENARIOS["clock6400"])._signal_ifft is not a._signal_ifft
-    cached = (a._signal_ifft._twiddles, *a._ddm_twiddles, *a._critical_twiddles,
-              band_offsets(a.cfg.clock, a.cfg.tone_band))
-    for arr in cached:
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
-
-
-def test_threaded_sweep_on_shared_plans_matches_a_fresh_serial_one(tmp_path):
-    # the serial sweep builds the plans afresh; another scenario on the same
-    # clock then reuses them, and so does a threaded sweep of the first
-    for cache in (band_ifft, band_offsets, dft_twiddles):
-        cache.cache_clear()
-    cfg = SCENARIOS["multiprop"]
-    serial = sweep_fp(cfg, 20.0, 24.0, 1.0, seeds=[0, 1, 2])
-    sweep_fp(default_scenario(), 20.0, 21.0, 1.0, seeds=[0, 1])
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = sweep_fp(cfg, 20.0, 24.0, 1.0, seeds=[0, 1, 2], workers=8)
-    finally:
-        sys.setswitchinterval(interval)
-    a, b = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    emit_csv(serial, a)
-    emit_csv(threaded, b)
-    assert a.read_bytes() == b.read_bytes()
