@@ -11,8 +11,10 @@ run length are those of ``BENCHMARK.json``, so BENCH files compare.
 metric, the median and the first and third quartiles over the repeats, every
 repeat's value, the failed operations, the numpy version, the core count, the
 CPU model and the commit (``tree_dirty`` says whether tracked files differed
-from it). A performance claim compares its numbers with the latest BENCH file
-written on the same machine.
+from it). A run whose result is not ``correct`` ends the script with exit 1,
+naming its workload and seed, before any file is written. A performance
+claim compares its numbers with the latest BENCH file written on the same
+machine.
 """
 
 from __future__ import annotations
@@ -66,6 +68,10 @@ def main(argv: list[str] | None = None) -> int:
     for seed in seeds:
         for workload in results:
             env, result = run_once(workload, seed, seconds)
+            if not result["correct"]:
+                raise SystemExit(f"bench: {workload} seed {seed} reported correct: false "
+                                 f"({result['failed']} of {result['attempted']} operations "
+                                 "failed); no BENCH file written")
             results[workload].append(result)
             wall = result["metrics"]["wall_s"]["value"]
             print(f"{workload} seed {seed}: wall_s {wall:.4g}, failed {result['failed']}",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signals import SampleBuffer, SampleClock
+from .signals import SampleBuffer, SampleClock, check_finite
 from .spectral import Spectrum, forward_fft
 
 _COEFF_NORM_TOL = 1e-12
@@ -169,16 +169,17 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"rng_seed must be a non-negative int, got {seed}")
 
 
-def eval_modulator(cfg: ChannelConfig, clock: SampleClock) -> SampleBuffer:
-    """Aggregate gain m[k] = sum_p coeff_p * g_p(2*pi*f_p*t_k - phase_p).
+def eval_modulator(cfg: ChannelConfig, clock: SampleClock) -> np.ndarray:
+    """Aggregate gain m[k] = sum_p coeff_p * g_p(2*pi*f_p*t_k - phase_p), a float64 array.
 
-    Returned as a real-valued buffer (imaginary part exactly zero) so it can
-    feed the same spectral tooling as the captures it modulates.
+    Gains too large for their sum to be a float are rejected, unwarned.
     """
     m = np.zeros(clock.n_samples)
-    for p in cfg.propellers:
-        m += p.coeff * p.shape.cycle_gain(_cycle_frac(p.f_p, p.phase, clock))
-    return SampleBuffer(clock, m.astype(np.complex128))
+    with np.errstate(over="ignore"):
+        for p in cfg.propellers:
+            m += p.coeff * p.shape.cycle_gain(_cycle_frac(p.f_p, p.phase, clock))
+    check_finite(m, "samples")
+    return m
 
 
 def noise_scale(clean: np.ndarray, snr_db: float) -> float:
@@ -213,4 +214,4 @@ def unit_noise(seed: int, n: int) -> np.ndarray:
 
 def modulator_spectrum(cfg: ChannelConfig, clock: SampleClock) -> Spectrum:
     """Spectrum of the aggregate gain over the capture window."""
-    return forward_fft(eval_modulator(cfg, clock))
+    return forward_fft(SampleBuffer(clock, eval_modulator(cfg, clock)))

@@ -147,7 +147,7 @@ def _cmd_blindspots(args: argparse.Namespace) -> int:
     any_flagged = False
     twiddles = critical_twiddles(cfg.clock)
     for fp in fp_grid(args.fp_start, args.fp_stop, args.fp_step, cfg.clock):
-        m = eval_modulator(cfg.channel.with_rate(fp), cfg.clock).samples
+        m = eval_modulator(cfg.channel.with_rate(fp), cfg.clock)
         flagged = flag_blind_spots(twiddles, m, rel_threshold=args.threshold)
         if flagged:
             any_flagged = True

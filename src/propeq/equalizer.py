@@ -114,5 +114,4 @@ def predict_blind_spots(
     energy at f into every signal component, so equalization can interfere
     with the very tones it is meant to protect.
     """
-    m = eval_modulator(cfg, clock).samples
-    return flag_blind_spots(critical_twiddles(clock), m, rel_threshold)
+    return flag_blind_spots(critical_twiddles(clock), eval_modulator(cfg, clock), rel_threshold)

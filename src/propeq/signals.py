@@ -63,6 +63,17 @@ def check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def freeze_capture(container, field: str) -> None:
+    """Make ``container.<field>`` a read-only, finite complex array of its clock's length."""
+    arr = np.asarray(getattr(container, field), dtype=np.complex128)
+    n = container.clock.n_samples
+    if arr.ndim != 1 or arr.shape[0] != n:
+        raise ValueError(f"{field} must be 1-d of length {n}, got shape {arr.shape}")
+    check_finite(arr, field)
+    arr.flags.writeable = False
+    object.__setattr__(container, field, arr)
+
+
 @dataclass(frozen=True)
 class SampleBuffer:
     """An immutable complex time series tied to a sample clock."""
@@ -71,14 +82,7 @@ class SampleBuffer:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.samples, dtype=np.complex128)
-        if arr.ndim != 1 or arr.shape[0] != self.clock.n_samples:
-            raise ValueError(
-                f"samples must be 1-d of length {self.clock.n_samples}, got shape {arr.shape}"
-            )
-        check_finite(arr, "samples")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        freeze_capture(self, "samples")
 
     @staticmethod
     def zeros(clock: SampleClock) -> "SampleBuffer":

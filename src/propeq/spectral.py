@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SampleBuffer, SampleClock, check_finite
+from .signals import SampleBuffer, SampleClock, freeze_capture
 
 
 @dataclass(frozen=True)
@@ -24,14 +24,7 @@ class Spectrum:
     bins: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.bins, dtype=np.complex128)
-        if arr.ndim != 1 or arr.shape[0] != self.clock.n_samples:
-            raise ValueError(
-                f"bins must be 1-d of length {self.clock.n_samples}, got shape {arr.shape}"
-            )
-        check_finite(arr, "bins")
-        arr.flags.writeable = False
-        object.__setattr__(self, "bins", arr)
+        freeze_capture(self, "bins")
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def received(cfg, tx=None):
     clock, channel = cfg.clock, cfg.channel
     if tx is None:
         tx = synth_ils(cfg.ils, clock).samples + synth_tone(cfg.tone, clock).samples
-    rx = tx * eval_modulator(channel, clock).samples.real
+    rx = tx * eval_modulator(channel, clock)
     if channel.snr_db is not None:
         rx = rx + noise_scale(rx, channel.snr_db) * unit_noise(channel.rng_seed, clock.n_samples)
     return np.fft.fft(rx)

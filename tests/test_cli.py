@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propeq.cli import main
-from propeq.harness import CSV_HEADER, load_sweep_csv
+from propeq.equalizer import predict_blind_spots
+from propeq.harness import CSV_HEADER, default_scenario, fp_grid, load_sweep_csv
 from propeq.signals import MAX_SAMPLES
 
 
@@ -108,6 +110,27 @@ def test_blindspots_scan(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "f_p = 22.5 Hz" in out and "90 Hz" in out
+
+
+# at 0.05 no rate of the default grid is flagged; at 0.02 four are, at one tone each
+@pytest.mark.parametrize("threshold", [0.05, 0.02])
+def test_blindspots_prints_the_flags_of_predict_blind_spots(capsys, threshold):
+    # every rate of the default grid, at thresholds other than the default
+    assert main(["blindspots", "--threshold", str(threshold)]) == 0
+    printed = {}
+    for line in capsys.readouterr().out.splitlines():
+        m = re.fullmatch(r"f_p = (\S+) Hz: blind spot at (.+); equalization may underperform", line)
+        if m is None:
+            assert line == "no blind spots flagged on the scanned grid"
+            continue
+        printed[float(m[1])] = tuple(float(f.removesuffix(" Hz")) for f in m[2].split(", "))
+    cfg = default_scenario()
+    want = {}
+    for fp in fp_grid(15.0, 40.0, 0.5, cfg.clock):
+        flags = predict_blind_spots(cfg.channel.with_rate(fp), cfg.clock, threshold)
+        if flags:
+            want[fp] = flags
+    assert printed == want
 
 
 @pytest.mark.parametrize("stage", ["rx", "equalized", "modulator"])
@@ -287,6 +310,9 @@ def test_overflowing_received_energy_is_one_config_error(tmp_path, capsys, snr_d
         ({"ils": {"a_c": 1e308}}, "bins must be finite"),
         # a normal tone amplitude so small that demodulating its band overflows
         ({"tone": {"amp": 3e-308}}, "g_hat must be finite"),
+        # the unit tone series carries 1/amp, and a sweep's axpy overflows
+        # when the noise scale multiplies it
+        ({"tone": {"amp": 1e-300}, "ils": {"a_c": 1e10}}, "g_hat must be finite"),
     ],
 )
 def test_loud_ils_is_one_config_error(tmp_path, capsys, config, message):
@@ -430,18 +456,23 @@ def _scenarios(draw):
 @settings(max_examples=50, deadline=None)
 @given(config=_scenarios())
 def test_main_ends_every_drawn_config_in_an_exit_code(config):
-    """Each command ends in exit 0, 1 or 2; a failure prints one stderr line.
+    """Every command ends in exit 0, 1 or 2; a failure prints one stderr line.
 
-    A warning or an uncaught exception fails the test. The clocks stay at
-    12 800 samples or fewer until the CLI bounds what a run allocates
-    (ROADMAP item 5); nothing else about the drawn configs is narrowed.
+    A warning or an uncaught exception fails the test. The sweep's 2-rate x
+    2-seed grid takes the shared-series path. ``signals.MAX_SAMPLES`` bounds
+    the clock a command accepts; the drawn clocks stay at 12 800 samples or
+    fewer only to keep the test short. Nothing else about the drawn configs
+    is narrowed.
     """
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "drawn.json"
         path.write_text(json.dumps(config))
-        out = str(Path(tmp) / "spectrum.csv")
-        for command in (["simulate"], *(["spectrum", "--stage", stage, "--out", out]
-                                        for stage in ("rx", "equalized", "modulator"))):
+        out = str(Path(tmp) / "out.csv")
+        sweep = ["sweep", "--fp-start", "20", "--fp-stop", "21", "--fp-step", "1",
+                 "--seeds", "2", "--out", out]
+        for command in (["simulate"], sweep, ["blindspots"],
+                        *(["spectrum", "--stage", stage, "--out", out]
+                          for stage in ("rx", "equalized", "modulator"))):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings():

@@ -153,7 +153,7 @@ def test_stage_spectra_match_composed_stages():
     cfg = SCENARIOS["multiprop"]
     rx = oracles.received(cfg)
     want = {
-        "modulator": np.fft.fft(eval_modulator(cfg.channel, cfg.clock).samples),
+        "modulator": np.fft.fft(eval_modulator(cfg.channel, cfg.clock)),
         "rx": rx,
         "equalized": np.fft.fft(oracles.equalized(cfg, rx)),
     }
@@ -315,7 +315,7 @@ _INJECTED = {
 
 
 @pytest.mark.filterwarnings("error")  # the error is the only thing reported
-@pytest.mark.parametrize("path", ["run", "equalized"])
+@pytest.mark.parametrize("path", ["run", "shared", "equalized"])
 @pytest.mark.parametrize("case", _INJECTED)
 def test_corrupt_band_ifft_keeps_its_error(monkeypatch, case, path):
     attr, corrupt, message = _INJECTED[case]
@@ -331,6 +331,12 @@ def test_corrupt_band_ifft_keeps_its_error(monkeypatch, case, path):
     with pytest.raises(ValueError) as exc:
         if path == "run":
             pipe.run(mod, noise)
+        elif path == "shared":
+            # a sweep's run sums the clean and unit series, both corrupted
+            n = pipe.cfg.clock.n_samples
+            clean, unit = (pipe.series(b.signal, b.tone, np.empty((2, n), dtype=np.complex128))
+                           for b in (mod, noise))
+            pipe.run(mod, noise, (clean, unit))
         else:
             pipe.equalized(mod, noise)
     assert exc.type is ValueError

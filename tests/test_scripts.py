@@ -1,7 +1,11 @@
-"""Smoke test for the benchmark summary script."""
+"""Tests of the benchmark summary script."""
 
+import importlib.util
+import json
 import runpy
 from pathlib import Path
+
+import pytest
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -12,3 +16,27 @@ def test_bench_script_summarizes_repeats():
     got = bench["summary"]([5.0, 1.0, 4.0, 2.0, 3.0])
     assert (got["q1"], got["median"], got["q3"]) == (2.0, 3.0, 4.0)
     assert got["runs"] == [5.0, 1.0, 4.0, 2.0, 3.0]
+
+
+def test_bench_script_refuses_a_wrong_run(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    workloads = [{"name": "first"}, {"name": "second"}]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "workloads": workloads}))
+
+    def run_once(workload, seed, seconds):
+        wrong = (workload, seed) == ("second", 3)
+        metrics = {"wall_s": {"unit": "s", "value": 1.0}}
+        return {}, {"correct": not wrong, "attempted": 4, "failed": int(wrong), "metrics": metrics}
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "git", lambda *args: "")
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["7"])
+    assert str(exc.value) == (
+        "bench: second seed 3 reported correct: false (1 of 4 operations failed); "
+        "no BENCH file written"
+    )
+    assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
