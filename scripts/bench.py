@@ -11,10 +11,10 @@ run length are those of ``BENCHMARK.json``, so BENCH files compare.
 metric, the median and the first and third quartiles over the repeats, every
 repeat's value, the failed operations, the numpy version, the core count, the
 CPU model and the commit (``tree_dirty`` says whether tracked files differed
-from it). A run whose result is not ``correct`` ends the script with exit 1,
-naming its workload and seed, before any file is written. A performance
-claim compares its numbers with the latest BENCH file written on the same
-machine.
+from it). A run that fails, times out, prints no JSON result or whose result
+is not ``correct`` ends the script with exit 1, naming its workload and seed,
+before any file is written. A performance claim compares its numbers with
+the latest BENCH file written on the same machine.
 """
 
 from __future__ import annotations
@@ -34,13 +34,20 @@ def run_once(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """The env line and the result object of one benchmark run."""
     argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True,
-                          timeout=4 * seconds + 300)
+    timeout = 4 * seconds + 300
+    failed = f"bench: {workload} seed {seed}"
+    try:
+        proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise SystemExit(f"{failed} timed out after {timeout} s; no BENCH file written") from None
     lines = proc.stdout.splitlines()
-    env = [json.loads(line[4:]) for line in lines if line.startswith("env ")]
+    env = [line[4:] for line in lines if line.startswith("env ")]
     if proc.returncode != 0 or not env:
-        raise SystemExit(f"bench: {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
-    return env[0], json.loads(lines[-1])
+        raise SystemExit(f"{failed} exited {proc.returncode}:\n{proc.stderr}")
+    try:
+        return json.loads(env[0]), json.loads(lines[-1])
+    except json.JSONDecodeError as e:
+        raise SystemExit(f"{failed} printed no JSON result ({e}); no BENCH file written") from None
 
 
 def summary(values: list[float]) -> dict:

@@ -84,6 +84,8 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
             cfg = load_config(args.config)
         except FileNotFoundError as e:
             raise ValueError(f"config file not found: {args.config}") from e
+        except OSError as e:
+            raise ValueError(f"cannot read config file {args.config}: {e.strerror or e}") from e
     else:
         cfg = default_scenario()
     overrides = {}

@@ -15,12 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig, eval_modulator
-from .errors import ToneAbsentError
 from .signals import SampleClock, check_finite
-from .spectral import BandSpec, dft_bins, dft_twiddles
-
-# a tone band this far below the capture's energy holds only FFT roundoff
-_TONE_FLOOR = 1e-24
+from .spectral import dft_bins, dft_twiddles
 
 CRITICAL_FREQS = (90.0, 150.0)
 # a critical frequency is flagged when its modulator bin exceeds this fraction of the DC bin
@@ -42,15 +38,6 @@ class RegPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_rel < 1.0:
             raise ValueError(f"eps_rel must be in (0, 1), got {self.eps_rel}")
-
-
-def tone_band_empty(band_energy: float, total_energy: float) -> bool:
-    """Whether a tone band's energy is indistinguishable from FFT roundoff."""
-    return band_energy <= _TONE_FLOOR * total_energy
-
-
-def tone_absent(band: BandSpec) -> ToneAbsentError:
-    return ToneAbsentError(f"no energy in tone band [{band.lo_hz}, {band.hi_hz}] Hz")
 
 
 def regularized_divide(s: np.ndarray, g: np.ndarray, eps_rel: float) -> np.ndarray:

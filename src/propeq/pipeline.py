@@ -39,9 +39,10 @@ default clock). The tone band is demodulated by shifting its bins to
 baseband before its IFFT, so no carrier is multiplied in. The raw DDM is
 read from the received signal-band bins directly.
 
-No run synthesizes the transmit sample by sample. Only ``rx_spectrum``
-does, once per ``Pipeline`` and on first use: a stage dump, and a run whose
-tone energy its bound cannot decide, read the full received spectrum.
+No run synthesizes the transmit sample by sample, and no run draws its full
+received spectrum: the tone-absence check reads the band bins and the two
+norms the run already holds. Only the ``rx`` dump (``rx_spectrum``) builds
+the received spectrum, from the synthesized transmit.
 
 A run makes no full-length pass for its checks alone. The divider's one
 |g_hat| pass, which sets the floor, also rejects a g_hat that is not finite
@@ -69,13 +70,8 @@ from .channel import (
     power_noise_scale,
     unit_noise,
 )
-from .equalizer import (
-    critical_twiddles,
-    flag_blind_spots,
-    regularized_divide,
-    tone_absent,
-    tone_band_empty,
-)
+from .equalizer import critical_twiddles, flag_blind_spots, regularized_divide
+from .errors import ToneAbsentError
 from .metrics import DDM_FREQS, amplitudes_from_bins, compute_ddm
 from .signals import SampleBuffer, check_finite, synth_ils, synth_tone
 from .spectral import (
@@ -109,7 +105,7 @@ def seeds_per_block(n: int) -> int:
 class Modulated:
     """Products of one modulator, shared by the runs of every seed."""
 
-    f_p: float | None  # the rate of every propeller; None keeps the scenario's
+    f_p_hz: float  # the first propeller's rate, which a sweep gives every propeller
     scale: float  # noise deviation per component; 0 without noise
     signal: np.ndarray  # clean bins of the signal band
     tone: np.ndarray  # clean bins of the tone band
@@ -121,7 +117,6 @@ class Modulated:
 class Noise:
     """The band bins and norm of one seed's unit noise spectrum."""
 
-    seed: int
     signal: np.ndarray
     tone: np.ndarray
     norm: float
@@ -199,21 +194,10 @@ class Pipeline:
         self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
         self._critical_twiddles = critical_twiddles(clock)
 
-    @functools.cached_property
-    def _tx(self) -> np.ndarray:
-        """The transmit synthesized sample by sample, for the full received spectrum."""
-        clock = self.cfg.clock
-        with np.errstate(over="ignore"):
-            return synth_ils(self.cfg.ils, clock).samples + synth_tone(self.cfg.tone, clock).samples
-
-    def _modulator(self, f_p: float | None) -> np.ndarray:
-        """The real modulator samples at rate ``f_p``."""
-        channel = self.cfg.channel if f_p is None else self.cfg.channel.with_rate(f_p)
-        return eval_modulator(channel, self.cfg.clock)
-
     def modulate(self, f_p: float | None = None) -> Modulated:
         """The scenario's modulator, with every propeller at ``f_p`` if given."""
-        m = self._modulator(f_p)
+        channel = self.cfg.channel if f_p is None else self.cfg.channel.with_rate(f_p)
+        m = eval_modulator(channel, self.cfg.clock)
         # a loud transmit overflows here; the checks reject what is not finite
         with np.errstate(over="ignore", invalid="ignore"):
             spec = np.fft.rfft(m)[self._gather]
@@ -224,10 +208,12 @@ class Pipeline:
             clean = m.reshape(-1, len(self._tx_period)) * self._tx_period
         check_finite(bins, "bins")
         power = mean_power(clean)
+        if not power < math.inf:
+            check_finite(clean, "samples")  # the product itself overflowed
         snr_db = self.cfg.channel.snr_db
         width = len(self._signal_idx)
         return Modulated(
-            f_p=f_p,
+            f_p_hz=float(channel.propellers[0].f_p),
             scale=0.0 if snr_db is None else power_noise_scale(power, snr_db),
             signal=bins[:width],
             tone=bins[width:],
@@ -240,28 +226,9 @@ class Pipeline:
         check_seed(seed)
         if self.cfg.channel.snr_db is None:
             return None
-        spec = self._noise_spectrum(seed)
-        return Noise(seed, spec[self._signal_idx], spec[self._tone_idx], _norm(spec))
-
-    def _noise_spectrum(self, seed: int) -> np.ndarray:
         # unit noise is finite, and so is its spectrum: nothing to check
-        return np.fft.fft(unit_noise(seed, self.cfg.clock.n_samples))
-
-    def rx_spectrum(self, f_p: float | None, seed: int | None) -> Spectrum:
-        """The full received spectrum at rate ``f_p`` with ``seed``'s noise.
-
-        A rate of None keeps the scenario's own; a seed of None adds no noise.
-        A ``Modulated`` keeps only band bins, so this computes FFT(tx*m) from
-        the synthesized transmit, as the reference chain does.
-        """
-        snr_db = self.cfg.channel.snr_db
-        with np.errstate(over="ignore"):
-            clean = self._tx * self._modulator(f_p)
-        spec = forward_fft(SampleBuffer(self.cfg.clock, clean))
-        if seed is None or snr_db is None:
-            return spec
-        noisy = spec.bins + noise_scale(clean, snr_db) * self._noise_spectrum(seed)
-        return Spectrum(self.cfg.clock, noisy)
+        spec = np.fft.fft(unit_noise(seed, self.cfg.clock.n_samples))
+        return Noise(spec[self._signal_idx], spec[self._tone_idx], _norm(spec))
 
     def series(self, signal: np.ndarray, tone: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The band IFFTs of signal-band and tone-band bins, written to ``out``'s two rows.
@@ -337,19 +304,19 @@ class Pipeline:
         return regularized_divide(s, g, self.cfg.reg.eps_rel)
 
     def _check_tone_energy(self, mod: Modulated, noise: Noise | None, tone: np.ndarray) -> None:
-        # ||S + scale*W|| <= ||S|| + scale*||W||; draw the received spectrum
-        # again only when that bound cannot decide. A capture can be so loud
-        # that its energy overflows, and then nothing is decided.
-        seed, noise_norm = (None, 0.0) if noise is None else (noise.seed, noise.norm)
+        # The received energy ||S + scale*W||^2 is ||S||^2 + scale^2*||W||^2
+        # plus a cross term whose mean is 0. A tone band at most 1e-24 of that
+        # holds only FFT roundoff. A capture can be so loud that its energy
+        # overflows, and then nothing is decided.
+        noise_norm = 0.0 if noise is None else noise.norm
         with np.errstate(over="ignore"):
             band_energy = float(np.sum(np.abs(tone) ** 2))
-            if not tone_band_empty(band_energy, (mod.norm + mod.scale * noise_norm) ** 2):
-                return
-            total = float(np.sum(np.abs(self.rx_spectrum(mod.f_p, seed).bins) ** 2))
+            total = float(np.square(mod.norm) + np.square(mod.scale * noise_norm))
         if not total < math.inf:
             raise ValueError("received energy must be finite")
-        if tone_band_empty(band_energy, total):
-            raise tone_absent(self.cfg.tone_band)
+        if band_energy <= 1e-24 * total:
+            band = self.cfg.tone_band
+            raise ToneAbsentError(f"no energy in tone band [{band.lo_hz}, {band.hi_hz}] Hz")
 
 
 @dataclass(frozen=True)
@@ -444,13 +411,31 @@ def sweep(
     results: list[RunResult] = []
     summaries = []
     for mod, pairs in zip(mods, per_rate):
-        f_p_hz = float(cfg.channel.propellers[0].f_p if mod.f_p is None else mod.f_p)
-        records = [RunResult(f_p_hz, seed, raw, eq, abs(raw - truth), abs(eq - truth))
+        records = [RunResult(mod.f_p_hz, seed, raw, eq, abs(raw - truth), abs(eq - truth))
                    for seed, (raw, eq) in zip(seeds, pairs)]
         results += records
-        summaries.append(FpSummary(f_p_hz, float(np.median([r.dev_raw for r in records])),
+        summaries.append(FpSummary(mod.f_p_hz, float(np.median([r.dev_raw for r in records])),
                                    float(np.median([r.dev_eq for r in records])), mod.flags))
     return SweepResult(tuple(results), tuple(summaries))
+
+
+def rx_spectrum(cfg: ScenarioConfig, seed: int | None) -> Spectrum:
+    """The scenario's full received spectrum with ``seed``'s noise; None adds none.
+
+    The engine keeps only band bins, so this synthesizes the transmit and
+    computes FFT(tx*m), as the reference chain does.
+    """
+    clock, snr_db = cfg.clock, cfg.channel.snr_db
+    # a loud transmit overflows here, unwarned; the checks reject what is not finite
+    with np.errstate(over="ignore"):
+        tx = synth_ils(cfg.ils, clock).samples + synth_tone(cfg.tone, clock).samples
+        check_finite(tx, "transmitted samples")
+        clean = tx * eval_modulator(cfg.channel, clock)
+    spec = forward_fft(SampleBuffer(clock, clean))
+    if seed is None or snr_db is None:
+        return spec
+    noisy = spec.bins + noise_scale(clean, snr_db) * np.fft.fft(unit_noise(seed, clock.n_samples))
+    return Spectrum(clock, noisy)
 
 
 def stage_spectrum(cfg: ScenarioConfig, stage: str) -> Spectrum:
@@ -459,8 +444,8 @@ def stage_spectrum(cfg: ScenarioConfig, stage: str) -> Spectrum:
         return modulator_spectrum(cfg.channel, cfg.clock)
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
-    pipe = Pipeline(cfg)
     seed = cfg.channel.rng_seed
     if stage == "rx":
-        return pipe.rx_spectrum(None, None if cfg.channel.snr_db is None else seed)
+        return rx_spectrum(cfg, seed)
+    pipe = Pipeline(cfg)
     return forward_fft(pipe.equalized(pipe.modulate(), pipe.noise(seed)))

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# the longest capture a clock may describe: a run holds a few full-length
-# complex arrays, 64 MiB each at this length, and nothing is allocated
-# before the clock is checked
+# the longest capture a clock may describe, checked before anything of its
+# length is allocated. At this length one simulate peaks at about 555 MB RSS
+# (3-4 s) and a 2-rate x 2-seed sweep at 795 MB (6-9 s); on a prime length,
+# whose band IFFTs are full-length transforms, a simulate peaks at 1.1 GB
+# (12 s). Measured in one process on a 2-core Xeon
 MAX_SAMPLES = 2**22
 
 

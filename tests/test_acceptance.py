@@ -32,7 +32,7 @@ from propeq import (
     sweep_fp,
     synth_tone,
 )
-from propeq.pipeline import Pipeline, stage_spectrum
+from propeq.pipeline import Pipeline, rx_spectrum, stage_spectrum
 
 import oracles
 from oracles import rms, square_partial_sum
@@ -212,9 +212,8 @@ def test_criterion_7_property_suites(tmp_path):
 
     # powers from the engine's spectra; Parseval's 1/N^2 cancels in the ratio
     cfg = default_scenario()
-    pipe = Pipeline(cfg)
-    clean = pipe.rx_spectrum(None, None).bins
-    noisy = pipe.rx_spectrum(None, cfg.channel.rng_seed).bins
+    clean = rx_spectrum(cfg, None).bins
+    noisy = rx_spectrum(cfg, cfg.channel.rng_seed).bins
     p_sig = np.mean(np.abs(clean) ** 2)
     p_noise = np.mean(np.abs(noisy - clean) ** 2)
     awgn_err = abs(10 * np.log10(p_noise / (p_sig / 100.0)))

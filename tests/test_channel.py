@@ -18,7 +18,7 @@ from propeq import (
     synth_ils,
     synth_tone,
 )
-from propeq.pipeline import Pipeline
+from propeq.pipeline import rx_spectrum
 
 from oracles import square_cycle_coeff
 
@@ -33,9 +33,9 @@ def one_prop(shape, f_p=30.0, phase=0.0, snr_db=None, rng_seed=0):
 
 def received(clock, channel):
     """The engine's clean and noisy received spectra of the default transmission."""
-    pipe = Pipeline(ScenarioConfig(clock=clock, channel=channel))
+    cfg = ScenarioConfig(clock=clock, channel=channel)
     seed = None if channel.snr_db is None else channel.rng_seed
-    return pipe.rx_spectrum(None, None).bins, pipe.rx_spectrum(None, seed).bins
+    return rx_spectrum(cfg, None).bins, rx_spectrum(cfg, seed).bins
 
 
 # ---------------------------------------------------------------------------

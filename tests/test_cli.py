@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from propeq.cli import main
 from propeq.equalizer import predict_blind_spots
-from propeq.harness import CSV_HEADER, default_scenario, fp_grid, load_sweep_csv
+from propeq.harness import CSV_HEADER, MAX_RUNS, default_scenario, fp_grid, load_sweep_csv
 from propeq.signals import MAX_SAMPLES
 
 
@@ -154,6 +154,17 @@ def test_spectrum_dumps_every_stage_of_a_noiseless_config(tmp_path):
 def test_missing_config_is_exit_1(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "blindspots", "spectrum"])
+def test_an_unreadable_config_is_one_config_error(tmp_path, capsys, command):
+    # a directory cannot be read as a file; that is the config's fault, not the run's
+    out = ["--out", str(tmp_path / "never.csv")]
+    flags = {"sweep": out, "spectrum": ["--stage", "rx", *out]}.get(command, [])
+    assert main([command, *flags, "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"propeq: config error: cannot read config file {tmp_path}:")
+    assert err.count("\n") == 1
 
 
 def test_invalid_config_value_is_exit_1(tmp_path, capsys):
@@ -483,6 +494,75 @@ def test_main_ends_every_drawn_config_in_an_exit_code(config):
                 assert err.getvalue().startswith("propeq: ") and err.getvalue().count("\n") == 1
 
 
+# prime clocks: each band IFFT is one full-length transform, the slowest case
+_PRIMES = (65521, 262139, 1048573)
+# samples x runs one drawn sweep may make, which keeps the test near 20 s
+_SWEEP_SAMPLES = 2**21
+
+
+@st.composite
+def _large_commands(draw):
+    """A clock of up to 2**20 samples, grid flags, a seed count and the grid's fault.
+
+    The fault is None for a grid the commands run, or the bound the grid
+    breaks: too many rates, too many seeds, or a last rate past Nyquist.
+    """
+    n = draw(st.one_of(st.integers(4096, 2**20), st.sampled_from(_PRIMES)))
+    start, step = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+    points = draw(st.integers(1, 2))
+    seeds = draw(st.integers(1, max(1, min(2, _SWEEP_SAMPLES // (points * n)))))
+    stop = start + (points - 1) * step
+    fault = draw(st.sampled_from([None, "rates", "seeds", "nyquist"]))
+    if fault == "rates":
+        stop, step = start + 1.0, 1.0 / (2 * MAX_RUNS)
+    elif fault == "seeds":
+        seeds = MAX_RUNS // points + 1
+    elif fault == "nyquist":
+        stop = n / 2 + draw(st.floats(1.0, 1e3))
+        step = stop - start
+    return {
+        "config": {"clock": {"rate_hz": float(n), "n_samples": n},
+                   "channel": {"snr_db": draw(st.sampled_from([None, 20.0]))}},
+        "grid": ["--fp-start", repr(start), "--fp-stop", repr(stop), "--fp-step", repr(step)],
+        "seeds": seeds,
+        "fault": fault,
+    }
+
+
+_FAULT_ERRORS = {"rates": "a command may make at most", "seeds": "a command may make at most",
+                 "nyquist": "must be below half the sample rate"}
+
+
+@settings(max_examples=6, deadline=None)
+@given(drawn=_large_commands())
+def test_main_runs_or_rejects_drawn_grids_on_clocks_up_to_2_20_samples(drawn):
+    """``simulate``, ``sweep`` and ``blindspots`` on large clocks, composite and prime.
+
+    A grid within ``MAX_RUNS`` and below Nyquist runs (exit 0); a grid that
+    breaks a bound ends in exit 1 with that bound's one-line error, before
+    any run. A warning or an uncaught exception fails the test.
+    """
+    fault = drawn["fault"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "large.json"
+        path.write_text(json.dumps(drawn["config"]))
+        sweep = ["sweep", *drawn["grid"], "--seeds", str(drawn["seeds"]),
+                 "--out", str(Path(tmp) / "out.csv")]
+        for command, broken in ((["simulate"], False), (sweep, fault is not None),
+                                (["blindspots", *drawn["grid"]], fault in ("rates", "nyquist"))):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([*command, "--config", str(path)])
+            message = err.getvalue()
+            if broken:
+                assert code == 1 and message.count("\n") == 1
+                assert message.startswith("propeq: config error: ") and _FAULT_ERRORS[fault] in message
+            else:
+                assert (code, message) == (0, "")
+
+
 @pytest.mark.parametrize("n_samples", [MAX_SAMPLES + 1, 2**40])
 def test_a_clock_over_the_sample_limit_is_one_config_error(tmp_path, capsys, n_samples):
     # the clock is checked before anything of its length is allocated
@@ -506,7 +586,7 @@ def test_a_transmit_that_overflows_only_in_its_product_with_the_chop_is_one_conf
 ):
     # a 1 Hz sine chop has no content where the 90 Hz lines gather their band
     # bins, so those are finite, yet tx*m overflows; the capture's power is
-    # inf, and the received spectrum drawn for the energy check is rejected
+    # inf, and the modulator stage rejects the product itself
     path = tmp_path / "loud_90.json"
     path.write_text(json.dumps({
         "ils": {"a_90": 1.7e308},

@@ -138,15 +138,42 @@ def test_blocking_channel_loses_the_carrier_before_the_tone():
 @pytest.mark.parametrize("snr_db", [400.0, None])
 def test_vanishing_tone_is_absent(snr_db):
     # a sine ripple keeps the ILS out of the tone band, so only roundoff and
-    # the 400 dB noise floor are there; the bound on the received energy
-    # cannot decide that, so the received spectrum is drawn again for the
-    # exact sum, from the run's rate and seed
+    # the 400 dB noise floor are there, far below 1e-24 of the received
+    # energy, which the run reads from its clean and unit noise norms
     cfg = single(SineRipple(0.5), f_p=25.0, snr_db=snr_db, tone=ToneParams(amp=1e-20))
     with pytest.raises(ToneAbsentError):
         run_single(cfg)
     # a 2 x 2 grid sums shared band series instead
     with pytest.raises(ToneAbsentError):
         sweep_fp(cfg, 25.0, 26.0, 1.0, seeds=[0, 1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_no_run_synthesizes_the_transmit(monkeypatch):
+    # a run gathers its band bins from the transmit's six lines and decides
+    # tone absence from norms it holds; only the rx dump synthesizes the transmit
+    def synthesized(*args):
+        raise AssertionError("a run synthesized the transmit")
+
+    monkeypatch.setattr("propeq.pipeline.synth_ils", synthesized)
+    monkeypatch.setattr("propeq.pipeline.synth_tone", synthesized)
+    run_single(default_scenario())
+    for snr_db in (400.0, None):
+        cfg = single(SineRipple(0.5), f_p=25.0, snr_db=snr_db, tone=ToneParams(amp=1e-20))
+        with pytest.raises(ToneAbsentError):
+            run_single(cfg)
+        with pytest.raises(ToneAbsentError):
+            sweep_fp(cfg, 25.0, 26.0, 1.0, seeds=[0, 1])
+    # tx*m overflows although its band bins are finite (see test_cli)
+    loud_90 = scenario_from_dict({
+        "ils": {"a_90": 1.7e308},
+        "channel": {"propellers": [{"shape": {"kind": "sine", "beta": 0.5}, "f_p": 1.0}],
+                    "snr_db": None},
+        "signal_half_width_hz": 50.0,
+        "tone_half_width_hz": 50.0,
+    })
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        run_single(loud_90)
 
 
 def test_stage_spectra_match_composed_stages():

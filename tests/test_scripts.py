@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import runpy
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -39,4 +40,32 @@ def test_bench_script_refuses_a_wrong_run(tmp_path, monkeypatch):
         "bench: second seed 3 reported correct: false (1 of 4 operations failed); "
         "no BENCH file written"
     )
+    assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
+
+
+def _timed_out(argv, **kwargs):
+    raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+
+def _garbled(argv, **kwargs):
+    return subprocess.CompletedProcess(argv, 0, stdout='env {"numpy": "2"}\nrun cut shor', stderr="")
+
+
+@pytest.mark.parametrize("run, message", [
+    (_timed_out, "bench: first seed 1 timed out after 304 s; no BENCH file written"),
+    (_garbled, "bench: first seed 1 printed no JSON result (Expecting value: line 1 column 1 "
+               "(char 0)); no BENCH file written"),
+])
+def test_bench_script_ends_a_stuck_or_garbled_run_in_one_line(tmp_path, monkeypatch, run, message):
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "workloads": [{"name": "first"}]}))
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "git", lambda *args: "")
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["7"])
+    assert str(exc.value) == message
     assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
