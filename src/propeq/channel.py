@@ -93,10 +93,18 @@ def _cycle_frac(f_p: float, phase: float, clock: SampleClock) -> np.ndarray:
     bit of floating-point roundoff; it also keeps integer-period rates
     exactly periodic across the capture.
     """
-    k = np.arange(clock.n_samples)
-    frac = np.mod(k * (f_p / clock.rate_hz) - phase / (2 * np.pi), 1.0)
-    frac = np.round(frac * _FRAC_SNAP) / _FRAC_SNAP
-    return np.where(frac >= 1.0, frac - 1.0, frac)
+    frac = np.arange(clock.n_samples, dtype=np.float64)
+    frac *= f_p / clock.rate_hz
+    frac -= phase / (2 * np.pi)
+    # x - floor(x) is np.mod(x, 1.0) bit for bit: both round the same real
+    # value once. The passes write in place, so no fresh capture-length
+    # array is allocated (and page-faulted in) per pass
+    frac -= np.floor(frac)
+    frac *= _FRAC_SNAP
+    np.round(frac, out=frac)
+    frac /= _FRAC_SNAP
+    np.subtract(frac, 1.0, out=frac, where=frac >= 1.0)
+    return frac
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,10 @@ def power_noise_scale(p_sig: float, snr_db: float) -> float:
 def unit_noise(seed: int, n: int) -> np.ndarray:
     """The seed's complex Gaussian noise with unit variance per component."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    out = np.empty(n, dtype=np.complex128)
+    out.real = rng.standard_normal(n)
+    out.imag = rng.standard_normal(n)
+    return out
 
 
 def modulator_spectrum(cfg: ChannelConfig, clock: SampleClock) -> Spectrum:

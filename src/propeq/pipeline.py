@@ -10,7 +10,8 @@ product once, at the outermost layer it depends on:
   default clock), which feeds the finiteness check and the noise power; for
   each band bin j the bins j-k of the modulator spectrum that each line k
   gathers; the signed bin offsets of both bands, their polyphase IFFT plans
-  (``BandIfft``), and the DFT twiddles of the DDM and blind-spot bins;
+  (``BandIfft``), and the DFT twiddles of the DDM bins, among which the
+  blind-spot bins read theirs;
 * per rate (``Modulated``): the modulator m, its rfft M and the band bins of
   FFT(tx*m)[j] = sum_k c_k M[j-k], gathered line by line; the noise scale
   and, by Parseval, the norm ||FFT(tx*m)||, both from mean|tx*m|^2 with tx
@@ -70,7 +71,7 @@ from .channel import (
     power_noise_scale,
     unit_noise,
 )
-from .equalizer import critical_twiddles, flag_blind_spots, regularized_divide
+from .equalizer import CRITICAL_FREQS, flag_blind_spots, regularized_divide
 from .errors import ToneAbsentError
 from .metrics import DDM_FREQS, amplitudes_from_bins, compute_ddm
 from .signals import SampleBuffer, check_finite, synth_ils, synth_tone
@@ -82,6 +83,7 @@ from .spectral import (
     dft_bins,
     dft_twiddles,
     forward_fft,
+    root_powers,
 )
 
 if TYPE_CHECKING:
@@ -165,7 +167,7 @@ class Pipeline:
         # near the float limit overflow here; the check rejects them, unwarned.
         g = math.gcd(n, *bins)
         t = np.arange(n // g)
-        roots = np.exp(2j * np.pi * t / len(t))
+        roots = root_powers(len(t), 1, len(t))
         with np.errstate(over="ignore", invalid="ignore"):
             self._tx_period = sum(c * roots[k // g * t % len(t)] for k, c in zip(bins, amps))
         check_finite(self._tx_period, "transmitted samples")
@@ -187,12 +189,18 @@ class Pipeline:
         same = np.array_equal(shifted, signal)  # the default bands share one plan
         self._tone_ifft = self._signal_ifft if same else BandIfft(n, shifted)
         self._tone_gain = np.exp(-1j * cfg.tone.phase) / cfg.tone.amp
-        # where each DDM bin sits in the signal band; a bin outside the band
-        # reads the 0 appended after it, as the windowed spectrum would
-        pos = {k: j for j, k in enumerate(self._signal_idx)}
-        self._ddm_pos = [pos.get(bin_index(clock, f), len(signal)) for f in DDM_FREQS]
+        # where each DDM bin sits in the signal band, whose offsets run from
+        # signal[0] (the band holds 0 Hz, so it is never empty); a bin outside
+        # the band reads the 0 appended after it, as the windowed spectrum would
+        ddm = [bin_index(clock, f) for f in DDM_FREQS]
+        pos = [(k - n if k > n // 2 else k) - signal[0] for k in ddm]
+        self._ddm_pos = [j if 0 <= j < len(signal) else len(signal) for j in pos]
         self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
-        self._critical_twiddles = critical_twiddles(clock)
+        # the blind-spot bins (0, 90 and 150 Hz) are DDM bins, and these are
+        # the rows critical_twiddles builds for them
+        self._critical_twiddles = tuple(
+            self._ddm_twiddles[DDM_FREQS.index(f)] for f in (0.0, *CRITICAL_FREQS)
+        )
 
     def modulate(self, f_p: float | None = None) -> Modulated:
         """The scenario's modulator, with every propeller at ``f_p`` if given."""
@@ -226,8 +234,10 @@ class Pipeline:
         check_seed(seed)
         if self.cfg.channel.snr_db is None:
             return None
-        # unit noise is finite, and so is its spectrum: nothing to check
-        spec = np.fft.fft(unit_noise(seed, self.cfg.clock.n_samples))
+        # unit noise is finite, and so is its spectrum: nothing to check. The
+        # transform overwrites the draws, so no second capture-length array is made
+        spec = unit_noise(seed, self.cfg.clock.n_samples)
+        np.fft.fft(spec, out=spec)
         return Noise(spec[self._signal_idx], spec[self._tone_idx], _norm(spec))
 
     def series(self, signal: np.ndarray, tone: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -16,10 +16,10 @@ import numpy as np
 
 
 # the longest capture a clock may describe, checked before anything of its
-# length is allocated. At this length one simulate peaks at about 555 MB RSS
-# (3-4 s) and a 2-rate x 2-seed sweep at 795 MB (6-9 s); on a prime length,
-# whose band IFFTs are full-length transforms, a simulate peaks at 1.1 GB
-# (12 s). Measured in one process on a 2-core Xeon
+# length is allocated. At this length one simulate peaks at about 477 MB RSS
+# (2.0-2.1 s) and a 2-rate x 2-seed sweep at 733 MB (5.0 s); on the prime
+# length 4 194 301, whose band IFFTs are full-length transforms, a simulate
+# peaks at 1.0 GB (8.2-8.8 s). Measured in one process on a 2-core Xeon
 MAX_SAMPLES = 2**22
 
 

@@ -8,6 +8,7 @@ spectrum corresponds to frequency k*(rate/N) folded into (-rate/2, rate/2]
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -87,29 +88,33 @@ def forward_fft(buf: SampleBuffer) -> Spectrum:
 def check_band(clock: SampleClock, band: BandSpec) -> None:
     """Reject a band that reaches outside the Nyquist range of ``clock``."""
     nyq = clock.rate_hz / 2.0
-    if band.lo_hz <= -nyq or band.hi_hz > nyq:
+    if not (-nyq < band.lo_hz and band.hi_hz <= nyq):
         raise ValueError(
             f"band [{band.lo_hz}, {band.hi_hz}] Hz exceeds the Nyquist range "
             f"(-{nyq}, {nyq}]"
         )
 
 
-def band_bins(clock: SampleClock, band: BandSpec) -> np.ndarray:
-    """Indices of the bins whose folded frequency falls inside ``band``."""
-    check_band(clock, band)
-    f = folded_frequencies(clock)
-    return np.flatnonzero((f >= band.lo_hz) & (f <= band.hi_hz))
-
-
 def band_offsets(clock: SampleClock, band: BandSpec) -> np.ndarray:
     """Signed bin offsets of ``band`` in ascending order of frequency.
 
-    ``band_offsets(...) % N`` are the indices ``band_bins`` returns; a band
-    through 0 Hz comes out contiguous instead of split at the array end.
+    These are the bins whose folded frequency (``folded_frequencies``) falls
+    inside the band, signed in (-N/2, N/2], so a band through 0 Hz comes out
+    contiguous instead of split at the array end. The folded frequency rises
+    with the signed bin, so the band is one run of bins, and its two ends
+    are found by bisection: no per-bin frequency table is built.
     """
-    n = clock.n_samples
-    idx = band_bins(clock, band)
-    return np.sort(np.where(idx > n // 2, idx - n, idx))
+    check_band(clock, band)
+    n, rate = clock.n_samples, clock.rate_hz
+    spacing = 1.0 / (n * (1.0 / rate))  # as np.fft.fftfreq computes it
+
+    def hz(k: int) -> float:
+        return rate / 2.0 if 2 * k == n else k * spacing
+
+    bins = range(-((n - 1) // 2), n // 2 + 1)
+    lo = bisect.bisect_left(bins, band.lo_hz, key=hz)
+    hi = bisect.bisect_right(bins, band.hi_hz, key=hz)
+    return np.arange(bins[0] + lo, bins[0] + hi)
 
 
 class BandIfft:
@@ -127,7 +132,10 @@ class BandIfft:
     each bin once. One call is a scatter into a (P, L) grid and L batched
     P-point IFFTs along its first axis, whose rows are then the N samples in
     order: no sample is dropped or interpolated, unlike decimation. On the
-    default 32000-point clock a 601-bin band gives P = 640 and L = 50. When
+    default 32000-point clock a 601-bin band gives P = 640 and L = 50. The
+    W x L twiddles e^{2 pi i k r/N} / L come from ``root_powers`` tables:
+    about 2*L*sqrt(W) exponentials (2 500 on the default clock), not one per
+    twiddle (30 050). When
     no divisor of N below N is wide enough (a prime N, say), L = 1 and the
     call is one plain N-point IFFT.
     """
@@ -140,9 +148,9 @@ class BandIfft:
         self.p = min(d for i in range(1, math.isqrt(n) + 1) if n % i == 0
                      for d in (i, n // i) if d >= width)
         self.l = n // self.p
-        # the exponent is reduced modulo N in integers, as in dft_twiddles
-        self._twiddles = np.exp(2j * np.pi * (np.outer(offsets % n, np.arange(self.l)) % n) / n)
-        self._twiddles /= self.l
+        # e^{2 pi i (k_lo + j) r/N} / L = e^{2 pi i j r/N} * e^{2 pi i k_lo r/N} / L
+        self._twiddles = root_powers(n, np.arange(self.l), width)
+        self._twiddles *= root_powers(n, k_lo, self.l) / self.l
         # k mod P of a contiguous band is at most two runs of grid rows; the
         # other rows are zeroed on every call
         start, stop = k_lo % self.p, k_lo % self.p + width
@@ -170,20 +178,42 @@ class BandIfft:
         return out
 
 
+def root_powers(n: int, k: int | np.ndarray, count: int) -> np.ndarray:
+    """w^(k*t) for t < count, with w = exp(2*pi*i/N) and t along the first axis.
+
+    For an int ``k`` the result has shape (count,); for a 1-d array, shape
+    (count, len(k)), C-contiguous. Each exponent k*t is reduced into
+    (-N/2, N/2] in integers, so no angle exceeds pi. k is reduced modulo N
+    first, so k*t stays below N*(count + sqrt(count)), which int64 holds for
+    any N and count up to ``signals.MAX_SAMPLES``. With s = ceil(sqrt(count))
+    and t = s*a + b, each power is w^(k*s*a) * w^(k*b): one entry of a coarse
+    and one of a fine table of about sqrt(count) exponentials each, and no
+    exponential per power.
+    """
+    k = np.asarray(k, dtype=np.int64) % n
+    step = math.isqrt(max(count - 1, 0)) + 1
+
+    def roots(t: np.ndarray) -> np.ndarray:
+        e = np.multiply.outer(t, k) % n
+        return np.exp(2j * np.pi * np.where(2 * e > n, e - n, e) / n)
+
+    table = roots(np.arange(0, count, step))[:, None] * roots(np.arange(step))[None, :]
+    return table.reshape(-1, *k.shape)[:count]
+
+
 def dft_twiddles(clock: SampleClock, freqs: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     """One period of exp(-2*pi*i*k*n/N) for the exact bin k of each of ``freqs``.
 
     k*n mod N repeats every P = N/gcd(k, N) samples, so P twiddles describe
     a whole DFT row: on the default clock 3200 for 90 Hz, 640 for 150 Hz,
-    and 1 for 0 Hz. The exponent is reduced modulo N in integers, so every
-    twiddle is accurate to roundoff.
+    and 1 for 0 Hz. Each row is ``root_powers`` of -k, whose exponent is
+    reduced in integers, so every twiddle is accurate to roundoff.
     """
     n = clock.n_samples
     out = []
     for f in freqs:
         k = bin_index(clock, f)
-        period = n // math.gcd(k, n)
-        out.append(np.exp(-2j * np.pi * (k * np.arange(period) % n) / n))
+        out.append(root_powers(n, -k, n // math.gcd(k, n)))
     return tuple(out)
 
 

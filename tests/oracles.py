@@ -19,6 +19,7 @@ from propeq import (
 )
 from propeq.channel import noise_scale, unit_noise
 from propeq.metrics import DDM_FREQS, amplitudes_from_bins
+from propeq.spectral import check_band
 
 
 def square_cycle_coeff(k: int, duty: float, lo: float, hi: float, period_samples: int):
@@ -56,6 +57,20 @@ def square_partial_sum(
     return acc
 
 
+def cycle_frac_by_mod(f_p, phase, clock):
+    """``channel._cycle_frac`` as np.mod and fresh arrays compute it."""
+    k = np.arange(clock.n_samples)
+    frac = np.mod(k * (f_p / clock.rate_hz) - phase / (2 * np.pi), 1.0)
+    frac = np.round(frac * 1e12) / 1e12
+    return np.where(frac >= 1.0, frac - 1.0, frac)
+
+
+def unit_noise_by_sum(seed, n):
+    """``channel.unit_noise`` as the sum of two real draws computes it."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
 def rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(x) ** 2)))
 
@@ -69,6 +84,17 @@ def received(cfg, tx=None):
     if channel.snr_db is not None:
         rx = rx + noise_scale(rx, channel.snr_db) * unit_noise(channel.rng_seed, clock.n_samples)
     return np.fft.fft(rx)
+
+
+def band_bins(clock, band):
+    """Indices of the bins whose folded frequency falls inside ``band``.
+
+    The definition ``spectral.band_offsets`` computes by bisection: a test
+    of every bin's ``folded_frequencies`` value against the band edges.
+    """
+    check_band(clock, band)
+    f = folded_frequencies(clock)
+    return np.flatnonzero((f >= band.lo_hz) & (f <= band.hi_hz))
 
 
 def in_band(bins, clock, band):

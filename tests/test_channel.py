@@ -9,6 +9,7 @@ from propeq import (
     IlsParams,
     PropellerModel,
     ScenarioConfig,
+    SampleClock,
     SineRipple,
     SquareWave,
     ToneParams,
@@ -18,8 +19,10 @@ from propeq import (
     synth_ils,
     synth_tone,
 )
+from propeq.channel import _cycle_frac, unit_noise
 from propeq.pipeline import rx_spectrum
 
+import oracles
 from oracles import square_cycle_coeff
 
 
@@ -249,3 +252,27 @@ def test_multi_propeller_spectrum_linearity(clock):
     expected = 0.3 * g1 + 0.7 * g2
     scale = np.abs(expected).max()
     assert np.allclose(g12, expected, atol=1e-12 * scale)
+
+
+@given(
+    f_p=st.one_of(st.sampled_from([22.5, 30.0, 37.5]), st.floats(1e-3, 1e4)),
+    phase=st.one_of(st.sampled_from([0.0, -0.0, -2 * np.pi, 4 * np.pi]), st.floats(-1e15, 1e15)),
+    n=st.one_of(st.integers(0, 5000).map(lambda i: 2 * i + 1), st.sampled_from([6007, 32000])),
+    rate=st.one_of(st.none(), st.floats(1.0, 1e6)),
+)
+def test_cycle_frac_is_the_np_mod_form_bit_for_bit(f_p, phase, n, rate):
+    clock = SampleClock(rate_hz=float(n) if rate is None else rate, n_samples=n)
+    got = _cycle_frac(f_p, phase, clock)
+    want = oracles.cycle_frac_by_mod(f_p, phase, clock)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(seed=st.integers(0, 2**64), n=st.integers(0, 5001))
+def test_unit_noise_is_the_summed_form_bit_for_bit(seed, n):
+    got = unit_noise(seed, n)
+    want = oracles.unit_noise_by_sum(seed, n)
+    # the same draws in the same order; a + 1j*b may flip the sign of a zero
+    # component, so zeros compare by value
+    assert np.array_equal(got, want)
+    parts = got.view(np.float64)
+    assert np.all((parts.view(np.uint64) == want.view(np.uint64)) | (parts == 0))
