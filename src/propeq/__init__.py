@@ -1,7 +1,7 @@
 """propeq: reference-tone equalization of propeller-modulated ILS captures.
 
-The pipeline, end to end: synthesize the ILS signal and its reference tone
-at complex baseband, pass them through a cyclic propeller-gain channel with
+The pipeline, end to end: model the ILS signal and its reference tone at
+complex baseband, pass them through a cyclic propeller-gain channel with
 optional AWGN, split the received spectrum into signal and tone bands with
 brick-wall windows, recover the modulation process from the tone band, divide
 it out of the signal band, and score signal integrity as DDM deviation.
@@ -36,14 +36,7 @@ from .harness import (
 )
 from .metrics import ToneAmplitudes, compute_ddm
 from .pipeline import FpSummary, RunResult, SweepResult
-from .signals import (
-    IlsParams,
-    SampleBuffer,
-    SampleClock,
-    ToneParams,
-    synth_ils,
-    synth_tone,
-)
+from .signals import IlsParams, SampleBuffer, SampleClock, ToneParams
 from .spectral import (
     BandSpec,
     Spectrum,
@@ -95,6 +88,4 @@ __all__ = [
     "scenario_with",
     "simulate",
     "sweep_fp",
-    "synth_ils",
-    "synth_tone",
 ]

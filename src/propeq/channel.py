@@ -190,23 +190,8 @@ def eval_modulator(cfg: ChannelConfig, clock: SampleClock) -> np.ndarray:
     return m
 
 
-def noise_scale(clean: np.ndarray, snr_db: float) -> float:
-    """Per-component noise deviation: P_noise = mean(|clean|^2) / 10^(snr_db/10).
-
-    A capture too loud for its power to be a float gives an infinite scale,
-    which the caller rejects, not an overflow warning.
-    """
-    return power_noise_scale(mean_power(clean), snr_db)
-
-
-def mean_power(clean: np.ndarray) -> float:
-    """mean(|clean|^2); inf, without an overflow warning, for a capture too loud for a float."""
-    with np.errstate(over="ignore"):
-        return float(np.mean(np.abs(clean) ** 2))
-
-
 def power_noise_scale(p_sig: float, snr_db: float) -> float:
-    """``noise_scale`` of a capture whose mean power is ``p_sig``.
+    """Per-component noise deviation: P_noise = p_sig / 10^(snr_db/10), split over re and im.
 
     The scale is a numpy float, so arithmetic on it overflows to inf instead
     of raising.

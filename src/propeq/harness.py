@@ -11,7 +11,6 @@ All three hand their rates and seeds to ``pipeline.sweep``, which returns the
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -212,6 +211,7 @@ def emit_csv(result: SweepResult, path: str | Path) -> None:
 
 def load_sweep_csv(path: str | Path) -> tuple[RunResult, ...]:
     """Parse a CSV written by ``emit_csv`` back into run records."""
+    import csv  # only this reader needs it, so a command that writes spares the import
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)

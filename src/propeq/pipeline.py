@@ -1,6 +1,6 @@
 """The staged engine behind every run: sweeps, single simulations and stage dumps.
 
-One run is synth -> channel -> FFT -> extract -> equalize -> DDM. Across the
+One run is transmit -> channel -> FFT -> extract -> equalize -> DDM. Across the
 runs of a sweep most of that work is shared, so the engine computes each
 product once, at the outermost layer it depends on:
 
@@ -40,10 +40,10 @@ default clock). The tone band is demodulated by shifting its bins to
 baseband before its IFFT, so no carrier is multiplied in. The raw DDM is
 read from the received signal-band bins directly.
 
-No run synthesizes the transmit sample by sample, and no run draws its full
+Nothing synthesizes the transmit sample by sample, and no run draws its full
 received spectrum: the tone-absence check reads the band bins and the two
 norms the run already holds. Only the ``rx`` dump (``rx_spectrum``) builds
-the received spectrum, from the synthesized transmit.
+it, from the same lines (``_transmit``) and noise power (``_clean_power``).
 
 A run makes no full-length pass for its checks alone. The divider's one
 |g_hat| pass, which sets the floor, also rejects a g_hat that is not finite
@@ -54,9 +54,9 @@ every sample, so a non-finite sample makes every bin non-finite.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -65,16 +65,14 @@ import numpy as np
 from .channel import (
     check_seed,
     eval_modulator,
-    mean_power,
     modulator_spectrum,
-    noise_scale,
     power_noise_scale,
     unit_noise,
 )
 from .equalizer import CRITICAL_FREQS, flag_blind_spots, regularized_divide
 from .errors import ToneAbsentError
 from .metrics import DDM_FREQS, amplitudes_from_bins, compute_ddm
-from .signals import SampleBuffer, check_finite, synth_ils, synth_tone
+from .signals import SampleBuffer, check_finite
 from .spectral import (
     BandIfft,
     Spectrum,
@@ -124,15 +122,18 @@ class Noise:
     norm: float
 
 
-def _transmit_lines(cfg: ScenarioConfig) -> tuple[list[int], list[complex]]:
-    """The transmit's six spectral lines: their bins k (mod N) and amplitudes c_k.
+def _transmit(cfg: ScenarioConfig) -> tuple[list[int], list[complex], np.ndarray]:
+    """The transmit's six spectral lines, their bins k (mod N) and amplitudes c_k, and one period.
 
     tx[t] = sum_k c_k exp(2*pi*i*k*t/N). The real ILS puts a_c at 0 Hz and
     splits each AM tone into conjugate halves at +-90 and +-150 Hz; the
     reference tone is one line at its offset. The scenario requires every
-    one of them to be an exact bin.
+    one of them to be an exact bin. The period, P = N/g samples for
+    g = gcd(N, bins), reduces each exponent modulo P in integers and reads
+    it from one table of P-th roots of unity. Amplitudes near the float
+    limit overflow it; the check rejects them, unwarned.
     """
-    ils, tone = cfg.ils, cfg.tone
+    ils, tone, n = cfg.ils, cfg.tone, cfg.clock.n_samples
     half_90 = ils.a_90 / 2 * np.exp(1j * ils.phase_90)
     half_150 = ils.a_150 / 2 * np.exp(1j * ils.phase_150)
     lines = {
@@ -143,7 +144,25 @@ def _transmit_lines(cfg: ScenarioConfig) -> tuple[list[int], list[complex]]:
         -150.0: np.conj(half_150),
         tone.offset_hz: tone.amp * np.exp(1j * tone.phase),
     }
-    return [bin_index(cfg.clock, f) for f in lines], list(lines.values())
+    bins, amps = [bin_index(cfg.clock, f) for f in lines], list(lines.values())
+    g = math.gcd(n, *bins)
+    t = np.arange(n // g)
+    roots = root_powers(len(t), 1, len(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        period = sum(c * roots[k // g * t % len(t)] for k, c in zip(bins, amps))
+    check_finite(period, "transmitted samples")
+    return bins, amps, period
+
+
+def _clean_power(m: np.ndarray, tx_period: np.ndarray) -> float:
+    """mean|tx*m|^2, tx tiled by its period: every noise scale's power; inf if too loud."""
+    # the product itself, not |tx|^2 * m^2, which can be inf * 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        clean = m.reshape(-1, len(tx_period)) * tx_period
+        power = float(np.mean(np.abs(clean) ** 2))
+    if not power < math.inf:
+        check_finite(clean, "samples")
+    return power
 
 
 def _norm(bins: np.ndarray) -> float:
@@ -160,17 +179,7 @@ class Pipeline:
         self.cfg = cfg
         clock = cfg.clock
         n = clock.n_samples
-        bins, amps = _transmit_lines(cfg)
-        # one period of the transmit, P = N/g samples for g = gcd(N, bins):
-        # sum_k c_k exp(2 pi i (k/g)*t/P), the exponent reduced modulo P in
-        # integers and read from one table of P-th roots of unity. Amplitudes
-        # near the float limit overflow here; the check rejects them, unwarned.
-        g = math.gcd(n, *bins)
-        t = np.arange(n // g)
-        roots = root_powers(len(t), 1, len(t))
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._tx_period = sum(c * roots[k // g * t % len(t)] for k, c in zip(bins, amps))
-        check_finite(self._tx_period, "transmitted samples")
+        bins, amps, self._tx_period = _transmit(cfg)
         signal = band_offsets(clock, cfg.signal_band)
         tone = band_offsets(clock, cfg.tone_band)
         self._signal_idx = signal % n
@@ -212,12 +221,8 @@ class Pipeline:
             np.conjugate(spec, out=spec, where=self._upper)
             spec *= self._amps
             bins = spec.sum(axis=0)
-            # mean |tx*m|^2 of the product itself: |tx|^2 * m^2 can be inf * 0
-            clean = m.reshape(-1, len(self._tx_period)) * self._tx_period
         check_finite(bins, "bins")
-        power = mean_power(clean)
-        if not power < math.inf:
-            check_finite(clean, "samples")  # the product itself overflowed
+        power = _clean_power(m, self._tx_period)
         snr_db = self.cfg.channel.snr_db
         width = len(self._signal_idx)
         return Modulated(
@@ -406,7 +411,9 @@ def sweep(
 
     per_rate: list[list[tuple[float, float]]] = [[] for _ in rates]
     k = min(workers, len(rates))
-    with ThreadPoolExecutor(max_workers=k) as pool:
+    if k > 1:  # a one-thread command spares the pool's imports
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=k) if k > 1 else contextlib.nullcontext() as pool:
         each = pool.map if k > 1 else map
         mods = list(each(pipe.modulate, rates))
         for b in range(0, len(seeds), size):
@@ -417,6 +424,7 @@ def sweep(
             for acc, r in zip(per_rate, each(functools.partial(runs, block, block_units), mods)):
                 acc += r
 
+    from statistics import median  # np.median's float, without its first call's numpy.ma import
     truth = cfg.ils.ddm
     results: list[RunResult] = []
     summaries = []
@@ -424,28 +432,42 @@ def sweep(
         records = [RunResult(mod.f_p_hz, seed, raw, eq, abs(raw - truth), abs(eq - truth))
                    for seed, (raw, eq) in zip(seeds, pairs)]
         results += records
-        summaries.append(FpSummary(mod.f_p_hz, float(np.median([r.dev_raw for r in records])),
-                                   float(np.median([r.dev_eq for r in records])), mod.flags))
+        summaries.append(FpSummary(mod.f_p_hz, median([r.dev_raw for r in records]),
+                                   median([r.dev_eq for r in records]), mod.flags))
     return SweepResult(tuple(results), tuple(summaries))
 
 
 def rx_spectrum(cfg: ScenarioConfig, seed: int | None) -> Spectrum:
     """The scenario's full received spectrum with ``seed``'s noise; None adds none.
 
-    The engine keeps only band bins, so this synthesizes the transmit and
-    computes FFT(tx*m), as the reference chain does.
+    The engine keeps only band bins; this forms every bin the same way, from
+    the transmit's six lines: FFT(tx*m)[j] = sum_k c_k M[j-k] for the
+    modulator's FFT M, plus scale*W at the noise scale every run uses, with
+    no ``Pipeline``, band plans or DDM twiddles.
     """
-    clock, snr_db = cfg.clock, cfg.channel.snr_db
+    clock, n, snr_db = cfg.clock, cfg.clock.n_samples, cfg.channel.snr_db
+    lines, amps, tx_period = _transmit(cfg)
+    m = eval_modulator(cfg.channel, clock)
     # a loud transmit overflows here, unwarned; the checks reject what is not finite
-    with np.errstate(over="ignore"):
-        tx = synth_ils(cfg.ils, clock).samples + synth_tone(cfg.tone, clock).samples
-        check_finite(tx, "transmitted samples")
-        clean = tx * eval_modulator(cfg.channel, clock)
-    spec = forward_fft(SampleBuffer(clock, clean))
-    if seed is None or snr_db is None:
-        return spec
-    noisy = spec.bins + noise_scale(clean, snr_db) * np.fft.fft(unit_noise(seed, clock.n_samples))
-    return Spectrum(clock, noisy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.fft.rfft(m)
+        spec = np.empty(n, dtype=np.complex128)  # M, whose upper bins mirror the rfft's
+        spec[: len(half)] = half
+        np.conjugate(half[n - len(half) : 0 : -1], out=spec[len(half) :])
+        bins = np.zeros(n, dtype=np.complex128)
+        for k, c in zip(lines, amps):
+            bins[k:] += c * spec[: n - k]  # bin j gathers c_k M[j-k], j-k taken mod N
+            bins[:k] += c * spec[n - k :]
+    del half, spec  # the noise needs neither, and a long capture's peak memory is lower
+    check_finite(bins, "bins")
+    if seed is not None and snr_db is not None:
+        scale = power_noise_scale(_clean_power(m, tx_period), snr_db)
+        noise = unit_noise(seed, n)
+        np.fft.fft(noise, out=noise)
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise *= scale
+            bins += noise
+    return Spectrum(clock, bins)
 
 
 def stage_spectrum(cfg: ScenarioConfig, stage: str) -> Spectrum:

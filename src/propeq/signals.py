@@ -1,9 +1,10 @@
-"""Complex-baseband synthesis of the inspected ILS signal and its reference tone.
+"""Sample clocks, capture buffers, and the parameters of the ILS and its reference tone.
 
 Everything downstream works on uniformly sampled complex baseband captures.
 The ILS carrier sits at 0 Hz with its 90/150 Hz AM tones as real sidebands;
 the reference tone is a single-sided complex exponential offset well above
 the signal band so the two can be separated by frequency-domain windowing.
+The engine (``pipeline``) builds the transmit from them as six spectral lines.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ class SampleClock:
     @property
     def bin_hz(self) -> float:
         return self.rate_hz / self.n_samples
-
-    def times(self) -> np.ndarray:
-        """Sample instants in seconds, starting at t=0."""
-        return np.arange(self.n_samples) / self.rate_hz
 
 
 def check_finite(arr: np.ndarray, what: str) -> None:
@@ -138,24 +135,3 @@ class ToneParams:
             raise ValueError(
                 f"offset_hz must be >= 300 to separate tone and signal, got {self.offset_hz}"
             )
-
-
-def synth_ils(params: IlsParams, clock: SampleClock) -> SampleBuffer:
-    """Synthesize the ILS envelope at complex baseband (imaginary part zero).
-
-    s[k] = a_c + a_90*cos(2*pi*90*t_k + phase_90) + a_150*cos(2*pi*150*t_k + phase_150)
-    """
-    t = clock.times()
-    s = (
-        params.a_c
-        + params.a_90 * np.cos(2 * np.pi * 90.0 * t + params.phase_90)
-        + params.a_150 * np.cos(2 * np.pi * 150.0 * t + params.phase_150)
-    )
-    return SampleBuffer(clock, s.astype(np.complex128))
-
-
-def synth_tone(params: ToneParams, clock: SampleClock) -> SampleBuffer:
-    """Synthesize the single-sided reference tone amp*exp(j(2*pi*f*t + phase))."""
-    t = clock.times()
-    tone = params.amp * np.exp(1j * (2 * np.pi * params.offset_hz * t + params.phase))
-    return SampleBuffer(clock, tone)

@@ -1,6 +1,10 @@
 """Oracles used by the tests, independent of the engine they check.
 
-The square-wave coefficients come from summing the finite geometric series
+The transmit is written twice here, both apart from the engine's six-line
+model: ``synth_ils`` and ``synth_tone`` sample it with float phases 2*pi*f*t,
+and ``transmit_by_lines`` sums the six lines with their phases reduced
+modulo N in integers, which keeps it exact to roundoff at every sample. The
+square-wave coefficients come from summing the finite geometric series
 of the sampled cycle by hand, so they sidestep every code path they are used
 to check (no FFTs, no windowing). The reference chain below runs one scenario
 with plain full-length numpy transforms: no band IFFT plan, no bin DFT, and
@@ -11,15 +15,66 @@ import numpy as np
 
 from propeq import (
     BandSpec,
+    SampleBuffer,
+    bin_index,
     compute_ddm,
     eval_modulator,
     folded_frequencies,
-    synth_ils,
-    synth_tone,
 )
-from propeq.channel import noise_scale, unit_noise
+from propeq.channel import unit_noise
 from propeq.metrics import DDM_FREQS, amplitudes_from_bins
 from propeq.spectral import check_band
+
+
+def times(clock):
+    """Sample instants in seconds, starting at t=0."""
+    return np.arange(clock.n_samples) / clock.rate_hz
+
+
+def synth_ils(params, clock):
+    """The ILS envelope at complex baseband (imaginary part zero), float phases.
+
+    s[k] = a_c + a_90*cos(2*pi*90*t_k + phase_90) + a_150*cos(2*pi*150*t_k + phase_150)
+    """
+    t = times(clock)
+    s = (
+        params.a_c
+        + params.a_90 * np.cos(2 * np.pi * 90.0 * t + params.phase_90)
+        + params.a_150 * np.cos(2 * np.pi * 150.0 * t + params.phase_150)
+    )
+    return SampleBuffer(clock, s.astype(np.complex128))
+
+
+def synth_tone(params, clock):
+    """The single-sided reference tone amp*exp(j(2*pi*f*t + phase)), float phases."""
+    t = times(clock)
+    tone = params.amp * np.exp(1j * (2 * np.pi * params.offset_hz * t + params.phase))
+    return SampleBuffer(clock, tone)
+
+
+def transmit_lines(cfg):
+    """The six (bin, amplitude) lines of the ILS and the tone, written out by hand."""
+    ils, tone, clock = cfg.ils, cfg.tone, cfg.clock
+    return [
+        (0, complex(ils.a_c)),
+        (bin_index(clock, 90.0), ils.a_90 / 2 * np.exp(1j * ils.phase_90)),
+        (bin_index(clock, -90.0), ils.a_90 / 2 * np.exp(-1j * ils.phase_90)),
+        (bin_index(clock, 150.0), ils.a_150 / 2 * np.exp(1j * ils.phase_150)),
+        (bin_index(clock, -150.0), ils.a_150 / 2 * np.exp(-1j * ils.phase_150)),
+        (bin_index(clock, tone.offset_hz), tone.amp * np.exp(1j * tone.phase)),
+    ]
+
+
+def transmit_by_lines(cfg):
+    """tx[t] = sum_k c_k exp(2*pi*i*(k*t mod N)/N), one exp per line and sample."""
+    n = cfg.clock.n_samples
+    t = np.arange(n)
+    return sum(c * np.exp(2j * np.pi * (k * t % n) / n) for k, c in transmit_lines(cfg))
+
+
+def noise_scale(clean, snr_db):
+    """Per-component noise deviation: P_noise = mean(|clean|^2) / 10^(snr_db/10)."""
+    return np.sqrt(np.mean(np.abs(clean) ** 2) / 10.0 ** (snr_db / 10.0) / 2.0)
 
 
 def square_cycle_coeff(k: int, duty: float, lo: float, hi: float, period_samples: int):

@@ -30,12 +30,11 @@ from propeq import (
     run_single,
     scenario_with,
     sweep_fp,
-    synth_tone,
 )
 from propeq.pipeline import Pipeline, rx_spectrum, stage_spectrum
 
 import oracles
-from oracles import rms, square_partial_sum
+from oracles import rms, square_partial_sum, synth_tone, times
 
 CLOCK = default_scenario().clock
 
@@ -82,7 +81,7 @@ def test_criterion_2_in_band_oracle_equivalence():
         propellers=(PropellerModel(shape=SineRipple(0.5), f_p=25.0),), snr_db=None
     )
     cfg = ScenarioConfig(channel=channel)
-    truth = 1.0 + 0.5 * np.cos(2 * np.pi * 25.0 * CLOCK.times())
+    truth = 1.0 + 0.5 * np.cos(2 * np.pi * 25.0 * times(CLOCK))
     g_err = rms(oracles.g_hat(cfg, oracles.received(cfg)) - truth)
     ddm_err = abs(run_single(cfg).ddm_eq - (-0.2))
     ok = g_err <= 1e-8 and ddm_err <= 1e-6
@@ -108,7 +107,7 @@ def test_criterion_3_band_limited_oracle():
     cfg = ScenarioConfig(channel=channel)
     rx = oracles.received(cfg, tx=synth_tone(cfg.tone, CLOCK).samples)
     per = int(CLOCK.rate_hz / 20.0)
-    truth = square_partial_sum(CLOCK.times(), 20.0, 0.25, 0.5, 1.0, per, k_max=15)
+    truth = square_partial_sum(times(CLOCK), 20.0, 0.25, 0.5, 1.0, per, k_max=15)
     g_err = rms(oracles.g_hat(cfg, rx) - truth)
     ok = g_err <= 1e-6
     announce(

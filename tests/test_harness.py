@@ -33,10 +33,11 @@ from propeq import (
     scenario_to_dict,
     scenario_with,
     sweep_fp,
-    synth_tone,
 )
 from propeq.harness import CSV_HEADER, MAX_RUNS, check_runs
 from propeq.spectral import Spectrum, folded_frequencies
+
+from oracles import synth_tone
 
 
 def identity_scenario(**overrides):

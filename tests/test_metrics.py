@@ -8,10 +8,11 @@ from propeq import (
     SampleBuffer,
     ToneAmplitudes,
     compute_ddm,
-    synth_ils,
 )
 from propeq.metrics import DDM_FREQS, amplitudes_from_bins
 from propeq.spectral import dft_bins, dft_twiddles
+
+from oracles import synth_ils
 
 
 def estimate_amplitudes(buf):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import runpy
 import subprocess
 from pathlib import Path
@@ -69,3 +70,44 @@ def test_bench_script_ends_a_stuck_or_garbled_run_in_one_line(tmp_path, monkeypa
         bench.main(["7"])
     assert str(exc.value) == message
     assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
+
+
+def test_bench_script_times_fresh_simulate_processes(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "workloads": [{"name": "first"}]}))
+    metrics = {"wall_s": {"unit": "s", "value": 1.0}}
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+    env = {"numpy": "2", "python": "3", "cpu_count": 2, "cpu_model": "cpu"}
+    argvs = []
+
+    def run(argv, **kwargs):
+        argvs.append(argv)
+        assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == str(tmp_path / "src")
+        return subprocess.CompletedProcess(argv, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "git", lambda *args: "")
+    monkeypatch.setattr(bench, "run_once", lambda *args: (env, result))
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench.main(["7"]) == 0
+    cold = json.loads((tmp_path / "BENCH_7.json").read_text())["cold_simulate"]
+    assert len(argvs) == len(cold["runs"]) == 9
+    assert all(argv[1:4] == ["-m", "propeq", "simulate"] for argv in argvs)
+    assert cold["q1"] <= cold["median"] <= cold["q3"] and cold["unit"] == "s"
+    assert cold["pythondontwritebytecode"] is True
+
+
+def test_bench_script_reports_a_failed_cold_process(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench.subprocess, "run", lambda argv, **kwargs:
+                        subprocess.CompletedProcess(argv, 1, stdout="", stderr="boom\n"))
+    with pytest.raises(SystemExit) as exc:
+        bench.cold_simulate()
+    assert str(exc.value) == "bench: cold simulate exited 1:\nboom\n"

@@ -14,13 +14,13 @@ from propeq import (
     ToneParams,
     bin_index,
     forward_fft,
-    synth_ils,
-    synth_tone,
 )
 from propeq.metrics import DDM_FREQS, amplitudes_from_bins
 from propeq.pipeline import rx_spectrum
 from propeq.signals import MAX_SAMPLES
 from propeq.spectral import dft_bins, dft_twiddles
+
+from oracles import synth_ils, synth_tone, times
 
 
 def estimate_amplitudes(buf):
@@ -161,7 +161,7 @@ def test_ils_linearity(small_clock, k):
 
 def test_tone_orthogonal_to_ils_components(clock):
     tone = synth_tone(ToneParams(offset_hz=1500.0), clock).samples
-    t = clock.times()
+    t = times(clock)
     components = [
         np.ones(clock.n_samples),
         np.cos(2 * np.pi * 90.0 * t),
