@@ -196,6 +196,15 @@ def test_sweep_median_is_np_median_bit_for_bit(values):
     assert got.view(np.uint64) == want.view(np.uint64) or got == want == 0.0
 
 
+def test_sweep_summaries_hold_the_np_medians_of_their_runs():
+    # four seeds: each median is the mean of the middle two deviations
+    sweep = sweep_fp(default_scenario(), 22.5, 23.5, 0.5, seeds=[0, 1, 2, 3])
+    for s in sweep.summaries:
+        runs = [r for r in sweep.results if r.f_p_hz == s.f_p_hz]
+        assert s.median_dev_raw == np.median([r.dev_raw for r in runs])
+        assert s.median_dev_eq == np.median([r.dev_eq for r in runs])
+
+
 @pytest.mark.parametrize("name", ["default", "multiprop", "odd_clock"])
 def test_rx_dump_is_the_spectrum_of_the_six_line_transmit(name):
     # an odd clock has no Nyquist bin, so the rfft's mirror image is one bin shorter
