@@ -448,6 +448,7 @@ def rx_spectrum(cfg: ScenarioConfig, seed: int | None) -> Spectrum:
     clock, n, snr_db = cfg.clock, cfg.clock.n_samples, cfg.channel.snr_db
     lines, amps, tx_period = _transmit(cfg)
     m = eval_modulator(cfg.channel, clock)
+    power = _clean_power(m, tx_period)  # rejects a tx*m that overflows before its spectrum
     # a loud transmit overflows here, unwarned; the checks reject what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         half = np.fft.rfft(m)
@@ -461,11 +462,10 @@ def rx_spectrum(cfg: ScenarioConfig, seed: int | None) -> Spectrum:
     del half, spec  # the noise needs neither, and a long capture's peak memory is lower
     check_finite(bins, "bins")
     if seed is not None and snr_db is not None:
-        scale = power_noise_scale(_clean_power(m, tx_period), snr_db)
         noise = unit_noise(seed, n)
         np.fft.fft(noise, out=noise)
         with np.errstate(over="ignore", invalid="ignore"):
-            noise *= scale
+            noise *= power_noise_scale(power, snr_db)
             bins += noise
     return Spectrum(clock, bins)
 

@@ -586,7 +586,8 @@ def test_a_transmit_that_overflows_only_in_its_product_with_the_chop_is_one_conf
 ):
     # a 1 Hz sine chop has no content where the 90 Hz lines gather their band
     # bins, so those are finite, yet tx*m overflows; the capture's power is
-    # inf, and the modulator stage rejects the product itself
+    # inf, and the modulator stage rejects the product itself. The rx dump
+    # rejects the product before it reads the spectrum
     path = tmp_path / "loud_90.json"
     path.write_text(json.dumps({
         "ils": {"a_90": 1.7e308},
@@ -595,6 +596,7 @@ def test_a_transmit_that_overflows_only_in_its_product_with_the_chop_is_one_conf
         "signal_half_width_hz": 50.0,
         "tone_half_width_hz": 50.0,
     }))
-    for command in (["simulate"], _TWO_BY_TWO + ["--out", str(tmp_path / "never.csv")]):
+    rx = ["spectrum", "--stage", "rx", "--out", str(tmp_path / "never_rx.csv")]
+    for command in (["simulate"], _TWO_BY_TWO + ["--out", str(tmp_path / "never.csv")], rx):
         assert main([*command, "--config", str(path)]) == 1
         assert capsys.readouterr().err == "propeq: config error: samples must be finite\n"
