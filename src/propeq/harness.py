@@ -2,7 +2,7 @@
 
 A scenario bundles every knob of the pipeline (clock, transmitted signal,
 channel, windows, regularization). ``run_single`` and ``simulate`` run the
-full chain synth -> channel -> FFT -> extract -> equalize -> DDM once;
+chain (six-line transmit, chop, noise, band bins, extract, equalize, DDM) once;
 ``sweep_fp`` runs it over a rotation-rate grid (``fp_grid``) and a
 Monte-Carlo seed list, optionally on threads, in deterministic grid order.
 All three hand their rates and seeds to ``pipeline.sweep``, which returns the

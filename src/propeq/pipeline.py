@@ -1,22 +1,19 @@
 """The staged engine behind every run: sweeps, single simulations and stage dumps.
 
-One run is transmit -> channel -> FFT -> extract -> equalize -> DDM. Across the
-runs of a sweep most of that work is shared, so the engine computes each
-product once, at the outermost layer it depends on:
+One run is transmit -> chop and noise -> bins -> extract -> equalize -> DDM.
+Across the runs of a sweep most of that work is shared, so the engine
+computes each product once, at the outermost layer it depends on:
 
-* per scenario (``Pipeline``): the transmit's six spectral lines c_k (the
-  carrier, the 90 and 150 Hz tones at +-f, and the reference tone), one
-  period of the transmit built from them in closed form (3200 samples on the
-  default clock), which feeds the finiteness check and the noise power; for
-  each band bin j the bins j-k of the modulator spectrum that each line k
-  gathers; the signed bin offsets of both bands, their polyphase IFFT plans
-  (``BandIfft``), and the DFT twiddles of the DDM bins, among which the
-  blind-spot bins read theirs;
-* per rate (``Modulated``): the modulator m, its rfft M and the band bins of
-  FFT(tx*m)[j] = sum_k c_k M[j-k], gathered line by line; the noise scale
-  and, by Parseval, the norm ||FFT(tx*m)||, both from mean|tx*m|^2 with tx
-  tiled by its period; and the blind-spot flags. Then, once per seed block,
-  the two band series of those clean bins (s_c, g_c; see ``Pipeline.series``);
+* per scenario (``Pipeline``): the transmit's six spectral lines c_k and one
+  period of the transmit built from them in closed form (``_transmit``; 3200
+  samples on the default clock); both bands' signed bin offsets and polyphase
+  IFFT plans (``BandIfft``); and the DFT twiddles of the DDM bins, whose 0,
+  90 and 150 Hz rows the blind-spot flags read;
+* per rate (``Modulated``): the modulator's spectrum M and mean|tx*m|^2
+  (``_chop_spectrum``); the band bins of FFT(tx*m)[j] = sum_k c_k M[j-k]
+  (``_line_sum``); from that power the noise scale and, by Parseval,
+  ||FFT(tx*m)||; and the blind-spot flags. Then, once per seed block, the
+  two band series of those clean bins (s_c, g_c; see ``Pipeline.series``);
 * per seed (``Noise``): the unit noise spectrum W, of which only the band
   bins and the norm are kept;
 * per seed block: the two band series of each seed's unit noise bins (s_w,
@@ -43,7 +40,8 @@ read from the received signal-band bins directly.
 Nothing synthesizes the transmit sample by sample, and no run draws its full
 received spectrum: the tone-absence check reads the band bins and the two
 norms the run already holds. Only the ``rx`` dump (``rx_spectrum``) builds
-it, from the same lines (``_transmit``) and noise power (``_clean_power``).
+it, by a rate's two calls, with ``_line_sum`` over all N bins: its band bins
+are a run's, bit for bit, and an overflow ends both in the same error.
 
 A run makes no full-length pass for its checks alone. The divider's one
 |g_hat| pass, which sets the floor, also rejects a g_hat that is not finite
@@ -122,8 +120,8 @@ class Noise:
     norm: float
 
 
-def _transmit(cfg: ScenarioConfig) -> tuple[list[int], list[complex], np.ndarray]:
-    """The transmit's six spectral lines, their bins k (mod N) and amplitudes c_k, and one period.
+def _transmit(cfg: ScenarioConfig) -> tuple[list[tuple[int, complex]], np.ndarray]:
+    """The transmit's six spectral lines (k, c_k), bin k mod N and amplitude c_k, and one period.
 
     tx[t] = sum_k c_k exp(2*pi*i*k*t/N). The real ILS puts a_c at 0 Hz and
     splits each AM tone into conjugate halves at +-90 and +-150 Hz; the
@@ -136,7 +134,7 @@ def _transmit(cfg: ScenarioConfig) -> tuple[list[int], list[complex], np.ndarray
     ils, tone, n = cfg.ils, cfg.tone, cfg.clock.n_samples
     half_90 = ils.a_90 / 2 * np.exp(1j * ils.phase_90)
     half_150 = ils.a_150 / 2 * np.exp(1j * ils.phase_150)
-    lines = {
+    amps = {
         0.0: complex(ils.a_c),
         90.0: half_90,
         -90.0: np.conj(half_90),
@@ -144,25 +142,50 @@ def _transmit(cfg: ScenarioConfig) -> tuple[list[int], list[complex], np.ndarray
         -150.0: np.conj(half_150),
         tone.offset_hz: tone.amp * np.exp(1j * tone.phase),
     }
-    bins, amps = [bin_index(cfg.clock, f) for f in lines], list(lines.values())
-    g = math.gcd(n, *bins)
+    lines = [(bin_index(cfg.clock, f), c) for f, c in amps.items()]
+    g = math.gcd(n, *(k for k, _ in lines))
     t = np.arange(n // g)
     roots = root_powers(len(t), 1, len(t))
     with np.errstate(over="ignore", invalid="ignore"):
-        period = sum(c * roots[k // g * t % len(t)] for k, c in zip(bins, amps))
+        period = sum(c * roots[k // g * t % len(t)] for k, c in lines)
     check_finite(period, "transmitted samples")
-    return bins, amps, period
+    return lines, period
 
 
-def _clean_power(m: np.ndarray, tx_period: np.ndarray) -> float:
-    """mean|tx*m|^2, tx tiled by its period: every noise scale's power; inf if too loud."""
-    # the product itself, not |tx|^2 * m^2, which can be inf * 0
+def _chop_spectrum(m: np.ndarray, tx_period: np.ndarray) -> tuple[np.ndarray, float]:
+    """(M, power): m's rfft mirrored to all N bins, and mean|tx*m|^2 (inf if too loud).
+
+    tx is tiled by its period. A tx*m that overflows is rejected before any bin.
+    """
+    # the product itself, not |tx|^2 * m^2, which can be inf * 0. A loud
+    # chop's M overflows unwarned, and the line sum rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         clean = m.reshape(-1, len(tx_period)) * tx_period
         power = float(np.mean(np.abs(clean) ** 2))
-    if not power < math.inf:
-        check_finite(clean, "samples")
-    return power
+        if not power < math.inf:
+            check_finite(clean, "samples")
+        # M overwrites the product, so no second capture-length array is made
+        spec, h = clean.reshape(-1), len(m) // 2 + 1
+        np.fft.rfft(m, out=spec[:h])
+        np.conjugate(spec[len(m) - h : 0 : -1], out=spec[h:])  # M[N-j] = conj M[j]
+    return spec, power
+
+
+def _line_sum(lines: list[tuple[int, complex]], spec: np.ndarray, start: int, width: int):
+    """Bins start, ..., start+width-1 (mod N) of FFT(tx*m)[j] = sum_k c_k M[j-k], M = ``spec``.
+
+    Each line adds by two slice multiply-adds, the second where j-k wraps past N.
+    """
+    n = len(spec)
+    bins = np.zeros(width, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, c in lines:
+            r = (start - k) % n
+            head = min(width, n - r)
+            bins[:head] += c * spec[r : r + head]
+            bins[head:] += c * spec[: width - head]
+    check_finite(bins, "bins")
+    return bins
 
 
 def _norm(bins: np.ndarray) -> float:
@@ -179,17 +202,11 @@ class Pipeline:
         self.cfg = cfg
         clock = cfg.clock
         n = clock.n_samples
-        bins, amps, self._tx_period = _transmit(cfg)
+        self._lines, self._tx_period = _transmit(cfg)
         signal = band_offsets(clock, cfg.signal_band)
         tone = band_offsets(clock, cfg.tone_band)
         self._signal_idx = signal % n
         self._tone_idx = tone % n
-        # bin j of FFT(tx*m) is sum_k c_k M[j-k]: each band bin gathers the
-        # rfft M of the real modulator at j-k mod N, conjugated above N/2
-        r = (np.concatenate([signal, tone])[None, :] - np.array(bins)[:, None]) % n
-        self._upper = r > n // 2
-        self._gather = np.where(self._upper, n - r, r)
-        self._amps = np.array(amps)[:, None]
         self._signal_ifft = BandIfft(n, signal)
         # demodulating is shifting the tone bins down by the tone's bin k0 and
         # scaling them by the carrier's exp(-i*phase)/amp; no carrier is built
@@ -215,21 +232,15 @@ class Pipeline:
         """The scenario's modulator, with every propeller at ``f_p`` if given."""
         channel = self.cfg.channel if f_p is None else self.cfg.channel.with_rate(f_p)
         m = eval_modulator(channel, self.cfg.clock)
-        # a loud transmit overflows here; the checks reject what is not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            spec = np.fft.rfft(m)[self._gather]
-            np.conjugate(spec, out=spec, where=self._upper)
-            spec *= self._amps
-            bins = spec.sum(axis=0)
-        check_finite(bins, "bins")
-        power = _clean_power(m, self._tx_period)
+        spec, power = _chop_spectrum(m, self._tx_period)
+        signal, tone = (_line_sum(self._lines, spec, int(idx[0]), len(idx))
+                        for idx in (self._signal_idx, self._tone_idx))
         snr_db = self.cfg.channel.snr_db
-        width = len(self._signal_idx)
         return Modulated(
             f_p_hz=float(channel.propellers[0].f_p),
             scale=0.0 if snr_db is None else power_noise_scale(power, snr_db),
-            signal=bins[:width],
-            tone=bins[width:],
+            signal=signal,
+            tone=tone,
             norm=self.cfg.clock.n_samples * np.sqrt(power),  # Parseval
             flags=flag_blind_spots(self._critical_twiddles, m),
         )
@@ -440,27 +451,14 @@ def sweep(
 def rx_spectrum(cfg: ScenarioConfig, seed: int | None) -> Spectrum:
     """The scenario's full received spectrum with ``seed``'s noise; None adds none.
 
-    The engine keeps only band bins; this forms every bin the same way, from
-    the transmit's six lines: FFT(tx*m)[j] = sum_k c_k M[j-k] for the
-    modulator's FFT M, plus scale*W at the noise scale every run uses, with
-    no ``Pipeline``, band plans or DDM twiddles.
+    Every bin is formed as a run forms its band bins, plus scale*W at the runs'
+    noise scale; no ``Pipeline``, band plans or DDM twiddles are built.
     """
     clock, n, snr_db = cfg.clock, cfg.clock.n_samples, cfg.channel.snr_db
-    lines, amps, tx_period = _transmit(cfg)
-    m = eval_modulator(cfg.channel, clock)
-    power = _clean_power(m, tx_period)  # rejects a tx*m that overflows before its spectrum
-    # a loud transmit overflows here, unwarned; the checks reject what is not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        half = np.fft.rfft(m)
-        spec = np.empty(n, dtype=np.complex128)  # M, whose upper bins mirror the rfft's
-        spec[: len(half)] = half
-        np.conjugate(half[n - len(half) : 0 : -1], out=spec[len(half) :])
-        bins = np.zeros(n, dtype=np.complex128)
-        for k, c in zip(lines, amps):
-            bins[k:] += c * spec[: n - k]  # bin j gathers c_k M[j-k], j-k taken mod N
-            bins[:k] += c * spec[n - k :]
-    del half, spec  # the noise needs neither, and a long capture's peak memory is lower
-    check_finite(bins, "bins")
+    lines, tx_period = _transmit(cfg)
+    spec, power = _chop_spectrum(eval_modulator(cfg.channel, clock), tx_period)
+    bins = _line_sum(lines, spec, 0, n)
+    del spec  # the noise does not need it, and a long capture's peak memory is lower
     if seed is not None and snr_db is not None:
         noise = unit_noise(seed, n)
         np.fft.fft(noise, out=noise)

@@ -131,10 +131,10 @@ def rms(x: np.ndarray) -> float:
 
 
 def received(cfg, tx=None):
-    """FFT of ``tx`` (the ILS plus the tone by default) chopped, plus the seed's noise."""
+    """FFT of ``tx`` (the six-line ILS plus tone by default) chopped, plus the seed's noise."""
     clock, channel = cfg.clock, cfg.channel
     if tx is None:
-        tx = synth_ils(cfg.ils, clock).samples + synth_tone(cfg.tone, clock).samples
+        tx = transmit_by_lines(cfg)
     rx = tx * eval_modulator(channel, clock)
     if channel.snr_db is not None:
         rx = rx + noise_scale(rx, channel.snr_db) * unit_noise(channel.rng_seed, clock.n_samples)

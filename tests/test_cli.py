@@ -584,19 +584,32 @@ def test_a_clock_over_the_sample_limit_is_one_config_error(tmp_path, capsys, n_s
 def test_a_transmit_that_overflows_only_in_its_product_with_the_chop_is_one_config_error(
     tmp_path, capsys
 ):
-    # a 1 Hz sine chop has no content where the 90 Hz lines gather their band
-    # bins, so those are finite, yet tx*m overflows; the capture's power is
-    # inf, and the modulator stage rejects the product itself. The rx dump
-    # rejects the product before it reads the spectrum
-    path = tmp_path / "loud_90.json"
-    path.write_text(json.dumps({
-        "ils": {"a_90": 1.7e308},
-        "channel": {"propellers": [{"shape": {"kind": "sine", "beta": 0.5}, "f_p": 1.0}],
-                    "snr_db": None},
-        "signal_half_width_hz": 50.0,
-        "tone_half_width_hz": 50.0,
-    }))
-    rx = ["spectrum", "--stage", "rx", "--out", str(tmp_path / "never_rx.csv")]
-    for command in (["simulate"], _TWO_BY_TWO + ["--out", str(tmp_path / "never.csv")], rx):
-        assert main([*command, "--config", str(path)]) == 1
-        assert capsys.readouterr().err == "propeq: config error: samples must be finite\n"
+    # every command forms the modulator's spectrum and its power in one place,
+    # which rejects an overflowing tx*m before any bin is formed.
+    # loud_90: a 1 Hz sine chop has no content where the 90 Hz lines gather
+    # their band bins, so those would be finite, yet tx*m overflows.
+    # loud_chop: tx*m overflows, and so would the bins
+    configs = {
+        "loud_90": {
+            "ils": {"a_90": 1.7e308},
+            "channel": {"propellers": [{"shape": {"kind": "sine", "beta": 0.5}, "f_p": 1.0}],
+                        "snr_db": None},
+            "signal_half_width_hz": 50.0,
+            "tone_half_width_hz": 50.0,
+        },
+        "loud_chop": {
+            "ils": {"a_c": 1e300},
+            "channel": {"propellers": [{"shape": {"kind": "custom", "gains": [1e10, 2e10]},
+                                        "f_p": 20.0}],
+                        "snr_db": None},
+        },
+    }
+    dumps = [["spectrum", "--stage", stage, "--out", str(tmp_path / f"never_{stage}.csv")]
+             for stage in ("rx", "equalized")]
+    for name, config in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        for command in (["simulate"], _TWO_BY_TWO + ["--out", str(tmp_path / "never.csv")],
+                        *dumps):
+            assert main([*command, "--config", str(path)]) == 1, (name, command)
+            assert capsys.readouterr().err == "propeq: config error: samples must be finite\n"

@@ -1,6 +1,6 @@
 """Regression tables the engine must keep: the benchmark's golden DDMs of
-its serial default and threaded multiprop sweeps, and the divider's
-noiseless floor."""
+its serial default and threaded multiprop sweeps, its golden bins of the
+multiprop spectrum dumps, and the divider's noiseless floor."""
 
 import csv
 from pathlib import Path
@@ -8,9 +8,14 @@ from pathlib import Path
 import pytest
 
 from propeq import default_scenario, load_config, scenario_with, sweep_fp
+from propeq.cli import main
+from propeq.pipeline import STAGES
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.csv"
+GOLDEN_SPECTRA = GOLDEN.parent / "golden_spectra.csv"
 MULTIPROP = GOLDEN.parent / "multiprop.json"
+# the benchmark's tolerance on a dumped bin; the carrier bin is about N = 32000
+SPECTRUM_TOL = 1e-8
 
 # |ddm_eq - truth| of the noiseless default scenario at 15, 15.5, ..., 40 Hz.
 # The regularized divider cannot do better, because the tone band truncates
@@ -55,6 +60,28 @@ def test_threaded_multiprop_sweep_matches_the_golden_table():
     sweep = sweep_fp(load_config(MULTIPROP), 15.0, 40.0, 1.0, seeds=range(10), workers=2)
     assert len(sweep.results) == 260
     _assert_matches_golden("report_multiprop_w2", sweep)
+
+
+def test_multiprop_spectrum_dumps_match_the_golden_bins(tmp_path):
+    # the benchmark's report workload dumps every stage at 30 Hz and checks
+    # the bins it probes. The worst probes read 0 (modulator), 7.2e-9 (rx at
+    # 1500 Hz, against a golden table written from a float-phase transmit)
+    # and 3.3e-10 (equalized at -150 Hz)
+    with GOLDEN_SPECTRA.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["stage"] for r in rows} == set(STAGES)
+    for stage in STAGES:
+        out = tmp_path / f"{stage}.csv"
+        argv = ["spectrum", "--config", str(MULTIPROP), "--fp", "30", "--stage", stage,
+                "--out", str(out)]
+        assert main(argv) == 0
+        with out.open(newline="") as fh:
+            dumped = {float(r["freq_hz"]): complex(float(r["re"]), float(r["im"]))
+                      for r in csv.DictReader(fh)}
+        for row in (r for r in rows if r["stage"] == stage):
+            want = complex(float(row["re"]), float(row["im"]))
+            got = dumped[float(row["freq_hz"])]
+            assert abs(got - want) <= SPECTRUM_TOL, (stage, row["freq_hz"], got, want)
 
 
 def test_noiseless_divider_floor_does_not_rise():
