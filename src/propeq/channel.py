@@ -185,7 +185,10 @@ def eval_modulator(cfg: ChannelConfig, clock: SampleClock) -> np.ndarray:
     m = np.zeros(clock.n_samples)
     with np.errstate(over="ignore"):
         for p in cfg.propellers:
-            m += p.coeff * p.shape.cycle_gain(_cycle_frac(p.f_p, p.phase, clock))
+            # scaled in place, so each propeller makes one fresh array, not two
+            gain = p.shape.cycle_gain(_cycle_frac(p.f_p, p.phase, clock))
+            gain *= p.coeff
+            m += gain
     check_finite(m, "samples")
     return m
 
@@ -203,8 +206,11 @@ def unit_noise(seed: int, n: int) -> np.ndarray:
     """The seed's complex Gaussian noise with unit variance per component."""
     rng = np.random.default_rng(seed)
     out = np.empty(n, dtype=np.complex128)
-    out.real = rng.standard_normal(n)
-    out.imag = rng.standard_normal(n)
+    # the imaginary parts are drawn into the real parts' array, which the
+    # same stream fills as a fresh draw would
+    draw = rng.standard_normal(n)
+    out.real = draw
+    out.imag = rng.standard_normal(out=draw)
     return out
 
 

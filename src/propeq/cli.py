@@ -7,6 +7,7 @@ pipeline error (including I/O failures while emitting results).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .channel import eval_modulator
@@ -37,6 +38,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# built on the first ``main`` and kept: it holds no data, only the grammar,
+# so a process that runs many commands in-process pays for it once
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="propeq",

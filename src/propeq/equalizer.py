@@ -40,8 +40,13 @@ class RegPolicy:
             raise ValueError(f"eps_rel must be in (0, 1), got {self.eps_rel}")
 
 
-def regularized_divide(s: np.ndarray, g: np.ndarray, eps_rel: float) -> np.ndarray:
+def regularized_divide(
+    s: np.ndarray, g: np.ndarray, eps_rel: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """s * conj(g) / max(|g|^2, floor^2) with floor = eps_rel * max |g|.
+
+    The quotient is written to ``out`` if given, which may be ``g`` itself:
+    every step is elementwise, so the bits are those of a fresh array.
 
     The one |g| pass the floor needs also checks the estimate: a NaN or an
     infinity in ``g`` makes max |g| non-finite, and a finite ``g`` carries
@@ -65,7 +70,7 @@ def regularized_divide(s: np.ndarray, g: np.ndarray, eps_rel: float) -> np.ndarr
         # numpy divides by the complex c + 0j as a * (1/c), so this multiply
         # gives the quotient bit for bit
         np.reciprocal(mag, out=mag)
-        out = np.conjugate(g)
+        out = np.conjugate(g, out=out)
         out *= s
         out *= mag
     return out

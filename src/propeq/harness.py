@@ -237,11 +237,11 @@ def dump_spectrum(spec: Spectrum, path: str | Path) -> None:
         # in blocks of rows, so no more than a block of values is held as Python objects
         for lo in range(0, len(bins), _DUMP_ROWS):
             block = bins[lo : lo + _DUMP_ROWS]
-            # Python's abs of each bin: np.abs of a complex array can differ in the last bit
-            mag_db = 20.0 * np.log10(np.array([abs(b) for b in block.tolist()]) + 1e-20)
-            columns = (freqs[lo : lo + _DUMP_ROWS], block.real, block.imag, mag_db)
-            fh.writelines(",".join(row) + "\n"
-                          for row in zip(*(map(repr, c.tolist()) for c in columns)))
+            # np.hypot is libm's hypot, as Python's abs of a complex is; np.abs
+            # of a complex array can differ in the last bit
+            mag_db = 20.0 * np.log10(np.hypot(block.real, block.imag) + 1e-20)
+            rows = np.column_stack((freqs[lo : lo + _DUMP_ROWS], block.real, block.imag, mag_db))
+            fh.write(("%r,%r,%r,%r\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def emit_plot(result: SweepResult, path: str | Path) -> None:

@@ -21,7 +21,10 @@ computes each product once, at the outermost layer it depends on:
   default 32000-point clock, so the engine holds O(N x block + seeds x band
   bins), never a seeds x N table;
 * per run: two axpys, s = s_c + scale*s_w and g_hat = g_c + scale*g_w, the
-  regularized division and a DFT of the five DDM bins of the quotient.
+  regularized division and a DFT of the five DDM bins of the quotient. The
+  axpys write into one (2, N) workspace per (seed block, rate) task, and the
+  quotient overwrites g_hat there; the divider's |g_hat| is a run's only
+  fresh N-length array.
 
 ``sweep`` returns the records the emitters read, in grid order: a
 ``RunResult`` per run and a ``FpSummary`` of medians and flags per rate.
@@ -161,7 +164,7 @@ def _chop_spectrum(m: np.ndarray, tx_period: np.ndarray) -> tuple[np.ndarray, fl
     # chop's M overflows unwarned, and the line sum rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         clean = m.reshape(-1, len(tx_period)) * tx_period
-        power = float(np.mean(np.abs(clean) ** 2))
+        power = float(np.mean(_abs_square(clean)))
         if not power < math.inf:
             check_finite(clean, "samples")
         # M overwrites the product, so no second capture-length array is made
@@ -188,11 +191,17 @@ def _line_sum(lines: list[tuple[int, complex]], spec: np.ndarray, start: int, wi
     return bins
 
 
+def _abs_square(x: np.ndarray) -> np.ndarray:
+    """|x|^2, as np.abs(x) ** 2 gives it bit for bit, in one fresh array, not two."""
+    sq = np.abs(x)
+    return np.square(sq, out=sq)
+
+
 def _norm(bins: np.ndarray) -> float:
     # not np.linalg.norm: its BLAS threads spin on the other cores between calls.
     # A norm too large for a float is inf, which the run's checks reject.
     with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(np.abs(bins) ** 2)))
+        return float(np.sqrt(np.sum(_abs_square(bins))))
 
 
 class Pipeline:
@@ -274,6 +283,7 @@ class Pipeline:
         mod: Modulated,
         noise: Noise | None,
         parts: tuple[np.ndarray, np.ndarray] | None = None,
+        ws: np.ndarray | None = None,
     ) -> tuple[float, float]:
         """(ddm_raw, ddm_eq) of one run.
 
@@ -281,10 +291,13 @@ class Pipeline:
         unit bins. Given them, the run's series are their sum
         clean + scale*unit, which by linearity equals the band IFFTs of its
         received bins to roundoff; otherwise the run makes those IFFTs.
+        ``ws`` is a C-contiguous complex (2, N) workspace that the run
+        overwrites with its series and quotient; without it one is allocated.
         """
         signal, tone = self._receive(mod, noise)
         ddm_raw = compute_ddm(self._amplitudes(np.append(signal, 0)[self._ddm_pos]))
-        bins = dft_bins(self._ddm_twiddles, self._equalize(mod, noise, signal, tone, parts))
+        q = self._equalize(mod, noise, signal, tone, parts, ws)
+        bins = dft_bins(self._ddm_twiddles, q)
         # every sample enters every bin, so a non-finite sample shows here
         check_finite(bins, "equalized samples")
         return ddm_raw, compute_ddm(self._amplitudes(bins))
@@ -315,19 +328,23 @@ class Pipeline:
         signal: np.ndarray,
         tone: np.ndarray,
         parts: tuple[np.ndarray, np.ndarray] | None = None,
+        ws: np.ndarray | None = None,
     ) -> np.ndarray:
-        """The quotient of one run, not yet checked to be finite."""
+        """The quotient of one run, not yet checked to be finite, in row 1 of ``ws``."""
         self._check_tone_energy(mod, noise, tone)
+        if ws is None:
+            ws = np.empty((2, self.cfg.clock.n_samples), dtype=np.complex128)
         if parts is None:
-            n = self.cfg.clock.n_samples
-            s, g = self.series(signal, tone, np.empty((2, n), dtype=np.complex128))
+            self.series(signal, tone, ws)
         else:
             # the unit tone series carries 1/amp, so a faint tone can overflow
             # here; the divider's |g_hat| pass and the DDM bins reject it, unwarned
             clean, unit = parts
             with np.errstate(over="ignore", invalid="ignore"):
-                s, g = unit * mod.scale + clean
-        return regularized_divide(s, g, self.cfg.reg.eps_rel)
+                np.multiply(unit, mod.scale, out=ws)  # unit * scale + clean, bit for bit
+                ws += clean
+        s, g = ws
+        return regularized_divide(s, g, self.cfg.reg.eps_rel, out=g)
 
     def _check_tone_energy(self, mod: Modulated, noise: Noise | None, tone: np.ndarray) -> None:
         # The received energy ||S + scale*W||^2 is ||S||^2 + scale^2*||W||^2
@@ -415,10 +432,13 @@ def sweep(
     units = np.empty((min(size, len(seeds)), 2, n), dtype=np.complex128) if shared else None
 
     def runs(block, block_units, mod):
+        # one workspace per task, which its runs overwrite in turn: a fresh
+        # one per run is refaulted run after run in a fresh process
+        ws = np.empty((2, n), dtype=np.complex128)
         if block_units is None:
-            return [pipe.run(mod, w) for w in block]
+            return [pipe.run(mod, w, ws=ws) for w in block]
         clean = pipe.series(mod.signal, mod.tone, np.empty((2, n), dtype=np.complex128))
-        return [pipe.run(mod, w, (clean, u)) for w, u in zip(block, block_units)]
+        return [pipe.run(mod, w, (clean, u), ws) for w, u in zip(block, block_units)]
 
     per_rate: list[list[tuple[float, float]]] = [[] for _ in rates]
     k = min(workers, len(rates))

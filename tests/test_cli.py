@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -196,6 +197,35 @@ def test_usage_error_is_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["sweep"])  # missing required --out
     assert exc.value.code == 1
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    cfg, out = small_config(tmp_path), tmp_path / "run.csv"
+    assert main(["simulate", "--config", cfg, "--fp", "22.5", "--out", str(out)]) == 0
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert added == []
+    # the first call's --fp 22.5 does not reach the second: the scenario's 30 Hz does
+    (run,) = load_sweep_csv(out)
+    assert run.f_p_hz == 30.0
+
+
+def test_a_bad_flag_after_a_good_call_is_still_a_usage_error(tmp_path, capsys):
+    assert main(["simulate", "--config", small_config(tmp_path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--bogus"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: propeq ")
+    assert err.splitlines()[-1] == "propeq: error: unrecognized arguments: --bogus"
 
 
 def test_pipeline_error_is_exit_2(tmp_path, capsys):

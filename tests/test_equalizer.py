@@ -146,6 +146,19 @@ def test_regularized_divide_writes_only_its_result():
     assert not np.shares_memory(out, s) and not np.shares_memory(out, g)
 
 
+@pytest.mark.parametrize("into_g", [True, False])
+def test_regularized_divide_into_out_is_the_fresh_quotient(into_g):
+    # a run writes its quotient over its own g_hat row; the bits must not move
+    rng = np.random.default_rng(1)
+    s, g = (rng.standard_normal(256) + 1j * rng.standard_normal(256) for _ in range(2))
+    g[:10] = 1e-9  # the floor binds here
+    want = regularized_divide(s, g, 1e-3)
+    out = g.copy() if into_g else np.empty_like(g)
+    got = regularized_divide(s, out if into_g else g, 1e-3, out=out)
+    assert got is out
+    assert np.array_equal(got, want)
+
+
 @settings(max_examples=15)
 @given(k=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
 def test_gain_invariance(small_clock, k):

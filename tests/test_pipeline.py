@@ -364,6 +364,22 @@ def test_sweep_holds_one_block_of_noise_series():
     assert two - one < 2 * 16 * n
 
 
+def test_one_simulate_holds_few_capture_length_arrays():
+    # a run's temporaries are written into arrays it already owns: one
+    # default simulate peaks at 4.23 complex capture-length arrays (16 * n
+    # bytes each). The bound leaves a quarter array of margin for numpy
+    # drift; with a fresh array per step the same simulate peaked at 5.23
+    cfg = default_scenario()
+    simulate(cfg)  # a first call's one-off imports and caches are not counted
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 16 * cfg.clock.n_samples
+
+
 def _setting(value, alone=False):
     """A corruption that writes ``value`` into one sample, zeroing the rest if ``alone``."""
     def corrupt(x):
