@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write an A/B file: one benchmark workload timed on two revisions in pairs.
 
-    python scripts/abpair.py BASE HEAD --workload single_capture --pairs 10 --seconds 30
+    python scripts/abpair.py BASE HEAD --workload single_capture --pairs 10 --seconds 30 --n 21
 
 Checks out each revision with ``git worktree add`` into a temporary
 directory (removed at the end, also on failure), and refuses when
@@ -12,7 +12,7 @@ interpreter, on the same workload seed (``--first-seed`` plus the pair's
 index). Which side goes first is drawn per pair from a shuffled, balanced
 list (seeded by ``--first-seed``), so host drift falls on both sides alike.
 
-The output (``--out``, default ``AB.json`` in the repository root) holds per
+``AB_<n>.json`` in the repository root, beside the BENCH files, holds per
 metric of ``BENCHMARK.json``'s ``end_to_end`` list each side's per-pair
 values with their median and quartiles, how many pairs each side won (ties
 apart) and the two-sided sign-test p-value of those wins; and both commits,
@@ -114,12 +114,12 @@ def compare(values: dict[str, list[float]], better: str) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="the revision to compare against")
-    ap.add_argument("head", help="the revision to measure")
+    ap.add_argument("head", nargs="?", default="HEAD", help="the revision to measure")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--first-seed", type=int, default=100, help="workload seed of the first pair")
-    ap.add_argument("--out", default="AB.json", help="output path, relative to the repository root")
+    ap.add_argument("--n", type=int, required=True, help="the number in the AB_<n>.json file name")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         raise SystemExit(f"abpair: --pairs must be >= 1, got {args.pairs}")
@@ -161,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
                            **compare(values[name], m["better"])}
                     for name, m in declared.items()},
     }
-    out = ROOT / args.out
+    out = ROOT / f"AB_{args.n}.json"
     out.write_text(json.dumps(ab, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

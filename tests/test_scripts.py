@@ -151,8 +151,8 @@ def test_abpair_runs_both_sides_of_a_pair_on_one_seed_in_a_drawn_order(tmp_path,
 
     monkeypatch.setattr(abpair, "run_once", run_once)
     args = ["b", "h", "--workload", "w", "--pairs", "6", "--seconds", "1", "--first-seed", "40"]
-    assert abpair.main([*args, "--out", "ab.json"]) == 0
-    ab = json.loads((tmp_path / "ab.json").read_text())
+    assert abpair.main([*args, "--n", "3"]) == 0
+    ab = json.loads((tmp_path / "AB_3.json").read_text())
     assert ab["seeds"] == [40, 41, 42, 43, 44, 45]
     assert sorted(ab["first"]) == ["base"] * 3 + ["head"] * 3
     assert ab["first"] == abpair.first_sides(6, 40)  # the same draw for the same seed
@@ -185,7 +185,7 @@ def test_abpair_refuses_revisions_whose_benchmark_differs(tmp_path, monkeypatch)
     abpair = _abpair(tmp_path, monkeypatch, diff="perfbench/run.py\nBENCHMARK.json")
     monkeypatch.setattr(abpair, "run_once", lambda *args: pytest.fail("a run was started"))
     with pytest.raises(SystemExit) as exc:
-        abpair.main(["b", "h", "--workload", "w", "--pairs", "2", "--seconds", "1"])
+        abpair.main(["b", "h", "--workload", "w", "--pairs", "2", "--seconds", "1", "--n", "3"])
     assert str(exc.value) == ("abpair: the benchmark differs between the revisions "
                               "(perfbench/run.py, BENCHMARK.json); no AB file written")
     assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
@@ -196,7 +196,7 @@ def test_abpair_ends_a_timed_out_run_in_one_line(tmp_path, monkeypatch):
     monkeypatch.setattr(abpair.subprocess, "run", _timed_out)
     with pytest.raises(SystemExit) as exc:
         abpair.main(["b", "h", "--workload", "w", "--pairs", "2", "--seconds", "1",
-                     "--first-seed", "7"])
+                     "--first-seed", "7", "--n", "3"])
     first = abpair.first_sides(2, 7)[0]
     assert str(exc.value) == (f"abpair: {first[0] * 2} w seed 7 timed out after 304 s; "
                               "no AB file written")
