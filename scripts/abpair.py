@@ -119,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--first-seed", type=int, default=100, help="workload seed of the first pair")
-    ap.add_argument("--n", type=int, required=True, help="the number in the AB_<n>.json file name")
+    ap.add_argument("--n", required=True, help="the suffix of the AB_<n>.json file name")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         raise SystemExit(f"abpair: --pairs must be >= 1, got {args.pairs}")
