@@ -1,4 +1,4 @@
-"""Tests of the benchmark summary script."""
+"""Tests of the benchmark scripts: bench.py and abpair.py."""
 
 import contextlib
 import importlib.util
