@@ -1,79 +1,51 @@
 #!/usr/bin/env python3
-"""Write BENCH_<n>.json: the end-to-end benchmark metrics of this checkout.
+"""Write BENCH_<n>.json: the benchmark of two commits, timed in alternating pairs.
 
-    python scripts/bench.py 6
+    python scripts/bench.py 22 BASE [HEAD] [--workload W]... [--pairs K] [--first-seed S]
 
-Runs ``perfbench/run.py --trace 0`` of this checkout 5 times per workload
-(workload seeds 1 to 5), each in a fresh interpreter; the workloads take
-turns, so drift of the host spreads over all of them. The workloads and the
-run length are those of ``BENCHMARK.json``, so BENCH files compare. Then it
-times 9 fresh ``python -m propeq simulate`` processes (``cold_simulate``).
-``BENCH_<n>.json`` in the repository root then holds, per workload and
-metric and for ``cold_simulate``, the median and the first and third
-quartiles over the repeats, every repeat's value, the failed operations, the
-numpy version, the core count, the CPU model, the commit (``tree_dirty``
-says whether tracked files differed from it) and whether
-PYTHONDONTWRITEBYTECODE was set. A run that fails, times out, prints no JSON
-result or whose result is not ``correct`` ends the script with exit 1,
-naming its workload and seed, before any file is written; so does a failed
-cold process. A performance claim compares its numbers with the latest BENCH
-file written on the same machine.
+Checks out BASE and HEAD (default ``HEAD``) with ``git worktree add`` into a
+temporary directory (removed at the end, also on failure), and refuses when
+``perfbench/`` or ``BENCHMARK.json`` differ between them, since then the two
+sides would not run the same benchmark. Each pair runs
+``perfbench/run.py --trace 0`` of both checkouts, each in a fresh
+interpreter, on every workload of ``BENCHMARK.json`` (or each ``--workload``
+named) for its ``run_seconds``, both sides on the same workload seed
+(``--first-seed`` plus the pair's index). Then it times one fresh
+``python -m propeq simulate`` process of each side (``cold_simulate``); each
+checkout runs one untimed first, so that it has its bytecode. Which side goes
+first is drawn per pair from a shuffled, balanced list (seeded by
+``--first-seed``), so drift of the host falls on both sides alike.
+
+``BENCH_<n>.json`` in the repository root holds, per workload and metric of
+``BENCHMARK.json``'s ``end_to_end`` list and for ``cold_simulate``, each
+side's per-pair values with their median and quartiles, how many pairs each
+side won (ties apart) and the two-sided sign-test p-value of those wins; per
+workload each side's attempted and failed operations; and both commits, the
+pairs' seeds and orders, whether PYTHONDONTWRITEBYTECODE was set, and the
+numpy version, core count and CPU model. A run that fails, times out, prints
+no JSON result or whose result is not ``correct`` ends the script with exit 1
+in one line, before any file is written; so does a failed cold process. A
+claim reads its pairs: the parent side of its own BENCH file is its baseline.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
+import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-REPEATS = 5
-COLD_REPEATS = 9
-
-
-def run(argv: list[str], failed: str, timeout: float, env: dict | None = None):
-    """``argv`` run to its end in the repository root; a timeout ends the script."""
-    try:
-        return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        raise SystemExit(f"{failed} timed out after {timeout} s; no BENCH file written") from None
-
-
-def run_once(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """The env line and the result object of one benchmark run."""
-    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    failed = f"bench: {workload} seed {seed}"
-    proc = run(argv, failed, 4 * seconds + 300)
-    lines = proc.stdout.splitlines()
-    env = [line[4:] for line in lines if line.startswith("env ")]
-    if proc.returncode != 0 or not env:
-        raise SystemExit(f"{failed} exited {proc.returncode}:\n{proc.stderr}")
-    try:
-        return json.loads(env[0]), json.loads(lines[-1])
-    except json.JSONDecodeError as e:
-        raise SystemExit(f"{failed} printed no JSON result ({e}); no BENCH file written") from None
-
-
-def cold_simulate() -> float:
-    """Seconds of one fresh ``python -m propeq simulate`` process of this checkout."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    start = time.perf_counter()
-    proc = run([sys.executable, "-m", "propeq", "simulate", "--out", os.devnull],
-               "bench: cold simulate", 300, {**os.environ, "PYTHONPATH": path})
-    if proc.returncode != 0:
-        raise SystemExit(f"bench: cold simulate exited {proc.returncode}:\n{proc.stderr}")
-    return time.perf_counter() - start
-
-
-def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+SIDES = ("base", "head")
+HOST = ("numpy", "python", "cpu_count", "cpu_model")
 
 
 def git(*args: str) -> str:
@@ -81,55 +53,156 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
+@contextlib.contextmanager
+def checkout(commit: str):
+    """A detached worktree of ``commit`` in a temporary directory, removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        path = Path(tmp) / commit[:12]
+        git("worktree", "add", "--detach", str(path), commit)
+        try:
+            yield path
+        finally:
+            git("worktree", "remove", "--force", str(path))
+
+
+def run(argv: list[str], root: Path, failed: str, timeout: float, env: dict | None = None):
+    """``argv`` run to a zero exit in ``root``; anything else ends the script in one line."""
+    try:
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise SystemExit(f"{failed} timed out after {timeout:g} s; no BENCH file written") from None
+    if proc.returncode != 0:
+        last = (proc.stderr.strip().splitlines() or [""])[-1]
+        raise SystemExit(f"{failed} exited {proc.returncode}: {last}; no BENCH file written")
+    return proc
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The env line and the result object of one benchmark run of the checkout at ``root``."""
+    argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    failed = f"bench: {workload} seed {seed} on {root.name}"
+    lines = run(argv, root, failed, 4 * seconds + 300).stdout.splitlines()
+    try:
+        env = json.loads(next((line[4:] for line in lines if line.startswith("env ")), ""))
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError as e:
+        raise SystemExit(f"{failed} printed no JSON result ({e}); no BENCH file written") from None
+    if not result["correct"]:
+        raise SystemExit(f"{failed} reported correct: false ({result['failed']} of "
+                         f"{result['attempted']} operations failed); no BENCH file written")
+    return env, result
+
+
+def cold_simulate(root: Path) -> float:
+    """Seconds of one fresh ``python -m propeq simulate`` process of the checkout at ``root``."""
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    run([sys.executable, "-m", "propeq", "simulate", "--out", os.devnull], root,
+        f"bench: cold simulate on {root.name}", 300, {**os.environ, "PYTHONPATH": path})
+    return time.perf_counter() - start
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def first_sides(pairs: int, seed: int) -> list[str]:
+    """Which side runs first in each pair: each side first in half the pairs, shuffled."""
+    order = [SIDES[i % 2] for i in range(pairs)]
+    random.Random(seed).shuffle(order)
+    return order
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """Two-sided sign-test p-value of ``wins`` against ``losses`` (ties left out)."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def compare(values: dict[str, list[float]], better: str) -> dict:
+    """Each side's summary, the pairs each side won, and the sign test of those wins."""
+    sign = -1 if better == "lower" else 1
+    head_won = sum(sign * (h - b) > 0 for b, h in zip(values["base"], values["head"]))
+    base_won = sum(sign * (b - h) > 0 for b, h in zip(values["base"], values["head"]))
+    return {
+        **{side: summary(values[side]) for side in SIDES},
+        "wins": {"base": base_won, "head": head_won},
+        "sign_test_p": sign_test(head_won, base_won),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in declared["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("n", type=int, help="the number in the BENCH_<n>.json file name")
+    ap.add_argument("base", help="the commit to compare against")
+    ap.add_argument("head", nargs="?", default="HEAD", help="the commit to measure")
+    ap.add_argument("--workload", action="append", help="run only this workload (repeatable)")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--first-seed", type=int, default=100, help="workload seed of the first pair")
     args = ap.parse_args(argv)
+    unknown = sorted(set(args.workload or ()) - set(names))
+    if unknown:
+        raise SystemExit(f"bench: BENCHMARK.json names no workload {', '.join(unknown)}; "
+                         "no BENCH file written")
+    if args.pairs < 1:
+        raise SystemExit(f"bench: --pairs must be >= 1, got {args.pairs}; no BENCH file written")
+    workloads = [w for w in names if not args.workload or w in args.workload]
+
+    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
+               for side, rev in zip(SIDES, (args.base, args.head))}
+    differ = git("diff", "--name-only", commits["base"], commits["head"],
+                 "--", "perfbench", "BENCHMARK.json")
+    if differ:
+        raise SystemExit(f"bench: the benchmark differs between the commits "
+                         f"({', '.join(differ.splitlines())}); no BENCH file written")
+
     seconds = declared["run_seconds"]
-    seeds = list(range(1, REPEATS + 1))
-
-    commit = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    results: dict[str, list[dict]] = {w["name"]: [] for w in declared["workloads"]}
+    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    order = first_sides(args.pairs, args.first_seed)
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
+    values = {w: {name: {s: [] for s in SIDES} for name in metrics} for w in workloads}
+    counts = {w: {key: dict.fromkeys(SIDES, 0) for key in ("attempted", "failed")}
+              for w in workloads}
+    cold: dict[str, list[float]] = {s: [] for s in SIDES}
     env: dict = {}
-    for seed in seeds:
-        for workload in results:
-            env, result = run_once(workload, seed, seconds)
-            if not result["correct"]:
-                raise SystemExit(f"bench: {workload} seed {seed} reported correct: false "
-                                 f"({result['failed']} of {result['attempted']} operations "
-                                 "failed); no BENCH file written")
-            results[workload].append(result)
-            wall = result["metrics"]["wall_s"]["value"]
-            print(f"{workload} seed {seed}: wall_s {wall:.4g}, failed {result['failed']}",
-                  file=sys.stderr)
+    with checkout(commits["base"]) as base_dir, checkout(commits["head"]) as head_dir:
+        roots = {"base": base_dir, "head": head_dir}
+        for root in roots.values():
+            cold_simulate(root)  # untimed: writes the checkout's bytecode
+        for seed, first in zip(seeds, order):
+            sides = sorted(SIDES, key=lambda s: s != first)
+            for workload in workloads:
+                for side in sides:
+                    env, result = run_once(roots[side], workload, seed, seconds)
+                    for key, count in counts[workload].items():
+                        count[side] += result[key]
+                    for name in metrics:
+                        values[workload][name][side].append(result["metrics"][name]["value"])
+                    wall = result["metrics"]["wall_s"]["value"]
+                    print(f"{workload} seed {seed} {side}: wall_s {wall:.4g}", file=sys.stderr)
+            for side in sides:
+                cold[side].append(cold_simulate(roots[side]))
 
-    cold = [cold_simulate() for _ in range(COLD_REPEATS)]
-
-    workloads = {}
-    for workload, runs in results.items():
-        metrics = {}
-        for name, first in runs[0]["metrics"].items():
-            metrics[name] = {"unit": first["unit"],
-                             **summary([r["metrics"][name]["value"] for r in runs])}
-        workloads[workload] = {
-            "attempted": sum(r["attempted"] for r in runs),
-            "failed": sum(r["failed"] for r in runs),
-            "metrics": metrics,
-        }
     bench = {
-        "commit": commit,
-        "tree_dirty": dirty,
-        "numpy": env["numpy"],
-        "python": env["python"],
-        "cpu_count": env["cpu_count"],
-        "cpu_model": env["cpu_model"],
-        "repeats": REPEATS,
+        **{side: commits[side] for side in SIDES},
+        **{key: env[key] for key in HOST},
         "seconds": seconds,
+        "pairs": args.pairs,
         "seeds": seeds,
-        "workloads": workloads,
-        "cold_simulate": {"unit": "s", **summary(cold),
+        "first": order,
+        "workloads": {w: {**counts[w],
+                          "metrics": {name: {"unit": m["unit"], "better": m["better"],
+                                             **compare(values[w][name], m["better"])}
+                                      for name, m in metrics.items()}}
+                      for w in workloads},
+        "cold_simulate": {"unit": "s", "better": "lower", **compare(cold, "lower"),
                           "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))},
     }
     out = ROOT / f"BENCH_{args.n}.json"

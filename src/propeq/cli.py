@@ -28,6 +28,7 @@ from .harness import (
     sweep_fp,
 )
 from .pipeline import STAGES, stage_spectrum
+from .spectral import dft_bins
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,7 +155,7 @@ def _cmd_blindspots(args: argparse.Namespace) -> int:
     twiddles = critical_twiddles(cfg.clock)
     for fp in fp_grid(args.fp_start, args.fp_stop, args.fp_step, cfg.clock):
         m = eval_modulator(cfg.channel.with_rate(fp), cfg.clock)
-        flagged = flag_blind_spots(twiddles, m, rel_threshold=args.threshold)
+        flagged = flag_blind_spots(dft_bins(twiddles, m), rel_threshold=args.threshold)
         if flagged:
             any_flagged = True
             freqs = ", ".join(f"{f:g} Hz" for f in flagged)

@@ -82,16 +82,15 @@ def critical_twiddles(clock: SampleClock) -> tuple[np.ndarray, ...]:
 
 
 def flag_blind_spots(
-    twiddles: tuple[np.ndarray, ...], m: np.ndarray, rel_threshold: float = BLIND_SPOT_THRESHOLD
+    bins: np.ndarray, rel_threshold: float = BLIND_SPOT_THRESHOLD
 ) -> tuple[float, ...]:
     """Critical frequencies f with |G(f)| > rel_threshold * |G(0)|.
 
-    G is the DFT of the modulator samples ``m``, read at the bins of
-    ``critical_twiddles``.
+    ``bins`` holds G, the DFT of the modulator samples, at 0 Hz and then at
+    ``CRITICAL_FREQS``.
     """
     if not rel_threshold > 0:
         raise ValueError(f"rel_threshold must be > 0, got {rel_threshold}")
-    bins = dft_bins(twiddles, m)
     ref = abs(bins[0])
     return tuple(f for f, b in zip(CRITICAL_FREQS, bins[1:]) if abs(b) > rel_threshold * ref)
 
@@ -106,4 +105,5 @@ def predict_blind_spots(
     energy at f into every signal component, so equalization can interfere
     with the very tones it is meant to protect.
     """
-    return flag_blind_spots(critical_twiddles(clock), eval_modulator(cfg, clock), rel_threshold)
+    bins = dft_bins(critical_twiddles(clock), eval_modulator(cfg, clock))
+    return flag_blind_spots(bins, rel_threshold)

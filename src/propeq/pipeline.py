@@ -7,13 +7,13 @@ computes each product once, at the outermost layer it depends on:
 * per scenario (``Pipeline``): the transmit's six spectral lines c_k and one
   period of the transmit built from them in closed form (``_transmit``; 3200
   samples on the default clock); both bands' signed bin offsets and polyphase
-  IFFT plans (``BandIfft``); and the DFT twiddles of the DDM bins, whose 0,
-  90 and 150 Hz rows the blind-spot flags read;
+  IFFT plans (``BandIfft``); and the DFT twiddles of the DDM bins;
 * per rate (``Modulated``): the modulator's spectrum M and mean|tx*m|^2
   (``_chop_spectrum``); the band bins of FFT(tx*m)[j] = sum_k c_k M[j-k]
   (``_line_sum``); from that power the noise scale and, by Parseval,
-  ||FFT(tx*m)||; and the blind-spot flags. Then, once per seed block, the
-  two band series of those clean bins (s_c, g_c; see ``Pipeline.series``);
+  ||FFT(tx*m)||; and the blind-spot flags, read from M at 0, 90 and 150 Hz.
+  Then, once per seed block, the two band series of those clean bins (s_c,
+  g_c; see ``Pipeline.series``);
 * per seed (``Noise``): the unit noise spectrum W, of which only the band
   bins and the norm are kept;
 * per seed block: the two band series of each seed's unit noise bins (s_w,
@@ -231,11 +231,8 @@ class Pipeline:
         pos = [(k - n if k > n // 2 else k) - signal[0] for k in ddm]
         self._ddm_pos = [j if 0 <= j < len(signal) else len(signal) for j in pos]
         self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
-        # the blind-spot bins (0, 90 and 150 Hz) are DDM bins, and these are
-        # the rows critical_twiddles builds for them
-        self._critical_twiddles = tuple(
-            self._ddm_twiddles[DDM_FREQS.index(f)] for f in (0.0, *CRITICAL_FREQS)
-        )
+        # the bins of M the blind-spot flags read: 0 Hz, then CRITICAL_FREQS
+        self._critical_idx = [bin_index(clock, f) for f in (0.0, *CRITICAL_FREQS)]
 
     def modulate(self, f_p: float | None = None) -> Modulated:
         """The scenario's modulator, with every propeller at ``f_p`` if given."""
@@ -251,7 +248,7 @@ class Pipeline:
             signal=signal,
             tone=tone,
             norm=self.cfg.clock.n_samples * np.sqrt(power),  # Parseval
-            flags=flag_blind_spots(self._critical_twiddles, m),
+            flags=flag_blind_spots(spec[self._critical_idx]),
         )
 
     def noise(self, seed: int) -> Noise | None:

@@ -1,4 +1,8 @@
-"""Tests of the benchmark scripts: bench.py and abpair.py."""
+"""Tests of the benchmark script, scripts/bench.py.
+
+The ``test_abpair_*`` tests check its A/B pairs: two commits timed in
+alternating pairs from their own checkouts.
+"""
 
 import contextlib
 import importlib.util
@@ -12,6 +16,59 @@ import pytest
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ENV = {"numpy": "2", "python": "3", "cpu_count": 2, "cpu_model": "cpu"}
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def _bench(tmp_path, monkeypatch, workloads=("first",), diff=""):
+    """scripts/bench.py with git, the checkouts and the BENCHMARK.json faked in ``tmp_path``.
+
+    A commit ``b`` or ``h`` resolves to ``bb`` or ``hh``, whose checkout is
+    ``tmp_path / "bb"`` or ``tmp_path / "hh"``.
+    """
+    bench = _load()
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower"},
+               {"name": "runs_per_s", "unit": "runs/s", "better": "higher"}]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": w} for w in workloads], "end_to_end": metrics}))
+    checkouts = []
+
+    def git(*args):
+        if args[0] == "rev-parse":
+            return args[-1].split("^")[0] * 2
+        return diff if args[0] == "diff" else ""
+
+    @contextlib.contextmanager
+    def checkout(commit):
+        checkouts.append(commit)
+        yield tmp_path / commit
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "git", git)
+    monkeypatch.setattr(bench, "checkout", checkout)
+    bench.checkouts = checkouts
+    return bench
+
+
+def _result(wall, correct=True, attempted=1, failed=0):
+    metrics = {"wall_s": {"value": wall}, "runs_per_s": {"value": 1 / wall}}
+    return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
+
+
+def _printed(argv, result):
+    """A benchmark run that printed its env line and ``result``."""
+    stdout = f"env {json.dumps(ENV)}\n{json.dumps(result)}"
+    return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+
+def _no_file_written(tmp_path):
+    return list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
 
 
 def test_bench_script_summarizes_repeats():
@@ -19,30 +76,28 @@ def test_bench_script_summarizes_repeats():
     got = bench["summary"]([5.0, 1.0, 4.0, 2.0, 3.0])
     assert (got["q1"], got["median"], got["q3"]) == (2.0, 3.0, 4.0)
     assert got["runs"] == [5.0, 1.0, 4.0, 2.0, 3.0]
+    one = bench["summary"]([7.0])  # a single pair has no spread
+    assert (one["q1"], one["median"], one["q3"]) == (7.0, 7.0, 7.0)
 
 
 def test_bench_script_refuses_a_wrong_run(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    workloads = [{"name": "first"}, {"name": "second"}]
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "workloads": workloads}))
+    bench = _bench(tmp_path, monkeypatch, workloads=("first", "second"))
+    monkeypatch.setattr(bench, "cold_simulate", lambda root: 1.0)
 
-    def run_once(workload, seed, seconds):
-        wrong = (workload, seed) == ("second", 3)
-        metrics = {"wall_s": {"unit": "s", "value": 1.0}}
-        return {}, {"correct": not wrong, "attempted": 4, "failed": int(wrong), "metrics": metrics}
+    def run(argv, **kwargs):
+        wrong = (argv[3], argv[5]) == ("second", "3")  # --workload W --seed S
+        result = _result(1.0, correct=not wrong, attempted=4, failed=int(wrong))
+        return _printed(argv, result)
 
-    monkeypatch.setattr(bench, "ROOT", tmp_path)
-    monkeypatch.setattr(bench, "run_once", run_once)
-    monkeypatch.setattr(bench, "git", lambda *args: "")
+    monkeypatch.setattr(bench.subprocess, "run", run)
     with pytest.raises(SystemExit) as exc:
-        bench.main(["7"])
+        bench.main(["7", "b", "h", "--pairs", "4", "--first-seed", "1"])
+    first = bench.first_sides(4, 1)[2]
     assert str(exc.value) == (
-        "bench: second seed 3 reported correct: false (1 of 4 operations failed); "
-        "no BENCH file written"
+        f"bench: second seed 3 on {first[0] * 2} reported correct: false (1 of 4 operations "
+        "failed); no BENCH file written"
     )
-    assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
+    assert _no_file_written(tmp_path)
 
 
 def _timed_out(argv, **kwargs):
@@ -53,119 +108,141 @@ def _garbled(argv, **kwargs):
     return subprocess.CompletedProcess(argv, 0, stdout='env {"numpy": "2"}\nrun cut shor', stderr="")
 
 
+def _crashed(argv, **kwargs):
+    return subprocess.CompletedProcess(argv, 1, stdout="", stderr="Traceback\n  ...\nMemoryError\n")
+
+
 @pytest.mark.parametrize("run, message", [
-    (_timed_out, "bench: first seed 1 timed out after 304 s; no BENCH file written"),
-    (_garbled, "bench: first seed 1 printed no JSON result (Expecting value: line 1 column 1 "
-               "(char 0)); no BENCH file written"),
+    (_timed_out, "bench: first seed 1 on {root} timed out after 304 s; no BENCH file written"),
+    (_garbled, "bench: first seed 1 on {root} printed no JSON result (Expecting value: line 1 "
+               "column 1 (char 0)); no BENCH file written"),
+    (_crashed, "bench: first seed 1 on {root} exited 1: MemoryError; no BENCH file written"),
 ])
 def test_bench_script_ends_a_stuck_or_garbled_run_in_one_line(tmp_path, monkeypatch, run, message):
-    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    (tmp_path / "BENCHMARK.json").write_text(
-        json.dumps({"run_seconds": 1, "workloads": [{"name": "first"}]}))
-    monkeypatch.setattr(bench, "ROOT", tmp_path)
-    monkeypatch.setattr(bench, "git", lambda *args: "")
+    bench = _bench(tmp_path, monkeypatch)
+    monkeypatch.setattr(bench, "cold_simulate", lambda root: 1.0)
     monkeypatch.setattr(bench.subprocess, "run", run)
     with pytest.raises(SystemExit) as exc:
-        bench.main(["7"])
-    assert str(exc.value) == message
-    assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
+        bench.main(["7", "b", "h", "--pairs", "2", "--first-seed", "1"])
+    assert str(exc.value) == message.format(root=bench.first_sides(2, 1)[0][0] * 2)
+    assert _no_file_written(tmp_path)
 
 
 def test_bench_script_times_fresh_simulate_processes(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    (tmp_path / "BENCHMARK.json").write_text(
-        json.dumps({"run_seconds": 1, "workloads": [{"name": "first"}]}))
-    metrics = {"wall_s": {"unit": "s", "value": 1.0}}
-    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
-    env = {"numpy": "2", "python": "3", "cpu_count": 2, "cpu_model": "cpu"}
+    bench = _bench(tmp_path, monkeypatch)
     argvs = []
 
     def run(argv, **kwargs):
         argvs.append(argv)
-        assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == str(tmp_path / "src")
+        assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == str(kwargs["cwd"] / "src")
         return subprocess.CompletedProcess(argv, 0, stdout="", stderr="")
 
-    monkeypatch.setattr(bench, "ROOT", tmp_path)
-    monkeypatch.setattr(bench, "git", lambda *args: "")
-    monkeypatch.setattr(bench, "run_once", lambda *args: (env, result))
+    monkeypatch.setattr(bench, "run_once", lambda *args: (ENV, _result(1.0)))
     monkeypatch.setattr(bench.subprocess, "run", run)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    assert bench.main(["7"]) == 0
+    assert bench.main(["7", "b", "h", "--pairs", "3"]) == 0
     cold = json.loads((tmp_path / "BENCH_7.json").read_text())["cold_simulate"]
-    assert len(argvs) == len(cold["runs"]) == 9
+    assert len(argvs) == 2 + 2 * 3  # one untimed process per checkout, then one per side and pair
     assert all(argv[1:4] == ["-m", "propeq", "simulate"] for argv in argvs)
-    assert cold["q1"] <= cold["median"] <= cold["q3"] and cold["unit"] == "s"
+    for side in ("base", "head"):
+        assert len(cold[side]["runs"]) == 3
+        assert cold[side]["q1"] <= cold[side]["median"] <= cold[side]["q3"]
+    assert cold["unit"] == "s" and sum(cold["wins"].values()) <= 3
     assert cold["pythondontwritebytecode"] is True
 
 
 def test_bench_script_reports_a_failed_cold_process(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    bench = _load()
     monkeypatch.setattr(bench.subprocess, "run", lambda argv, **kwargs:
-                        subprocess.CompletedProcess(argv, 1, stdout="", stderr="boom\n"))
+                        subprocess.CompletedProcess(argv, 1, stdout="", stderr="boom\nlast words\n"))
     with pytest.raises(SystemExit) as exc:
-        bench.cold_simulate()
-    assert str(exc.value) == "bench: cold simulate exited 1:\nboom\n"
+        bench.cold_simulate(tmp_path / "hh")
+    assert str(exc.value) == "bench: cold simulate on hh exited 1: last words; no BENCH file written"
 
 
-def _abpair(tmp_path, monkeypatch, diff=""):
-    """scripts/abpair.py with git, the checkouts and the BENCHMARK.json faked in ``tmp_path``."""
-    spec = importlib.util.spec_from_file_location("abpair", SCRIPTS / "abpair.py")
-    abpair = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(abpair)
-    metrics = [{"name": "wall_s", "unit": "s", "better": "lower"},
-               {"name": "runs_per_s", "unit": "runs/s", "better": "higher"}]
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
+def test_bench_script_times_cold_simulate_once_per_side_in_each_pairs_order(tmp_path, monkeypatch):
+    bench = _bench(tmp_path, monkeypatch, workloads=("first", "second"))
+    calls = []
 
-    def git(*args):
-        if args[0] == "rev-parse":
-            return args[-1].split("^")[0] * 2
-        return diff if args[0] == "diff" else ""
+    def run_once(root, workload, seed, seconds):
+        calls.append((root.name, workload, seed))
+        return ENV, _result(1.0)
 
-    @contextlib.contextmanager
-    def checkout(commit):
-        yield tmp_path / commit
+    def cold_simulate(root):
+        calls.append((root.name, "cold"))
+        return 1.0
 
-    monkeypatch.setattr(abpair, "ROOT", tmp_path)
-    monkeypatch.setattr(abpair, "git", git)
-    monkeypatch.setattr(abpair, "checkout", checkout)
-    return abpair
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "cold_simulate", cold_simulate)
+    assert bench.main(["7", "b", "h", "--pairs", "4", "--first-seed", "9"]) == 0
+    want = [("bb", "cold"), ("hh", "cold")]  # untimed, for the bytecode
+    for seed, first in zip(range(9, 13), bench.first_sides(4, 9)):
+        sides = ["bb", "hh"] if first == "base" else ["hh", "bb"]
+        want += [(side, workload, seed) for workload in ("first", "second") for side in sides]
+        want += [(side, "cold") for side in sides]
+    assert calls == want
+
+
+def test_bench_script_records_both_sides_attempted_and_failed_for_every_workload(tmp_path, monkeypatch):
+    bench = _bench(tmp_path, monkeypatch, workloads=("first", "second", "third"))
+    monkeypatch.setattr(bench, "cold_simulate", lambda root: 1.0)
+
+    def run_once(root, workload, seed, seconds):
+        attempted = {"first": 10, "second": 20, "third": 30}[workload] + (root.name == "hh")
+        return ENV, _result(1.0, attempted=attempted, failed=int(workload == "second"))
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["7", "b", "h", "--pairs", "3"]) == 0
+    workloads = json.loads((tmp_path / "BENCH_7.json").read_text())["workloads"]
+    assert list(workloads) == ["first", "second", "third"]
+    assert workloads["first"]["attempted"] == {"base": 30, "head": 33}
+    assert workloads["third"]["attempted"] == {"base": 90, "head": 93}
+    assert workloads["second"]["failed"] == {"base": 3, "head": 3}
+    assert workloads["first"]["failed"] == {"base": 0, "head": 0}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--workload", "first", "--workload", "fist"],
+     "bench: BENCHMARK.json names no workload fist; no BENCH file written"),
+    (["--pairs", "0"], "bench: --pairs must be >= 1, got 0; no BENCH file written"),
+])
+def test_bench_script_refuses_bad_arguments_before_any_checkout(tmp_path, monkeypatch, args, message):
+    bench = _bench(tmp_path, monkeypatch)
+    monkeypatch.setattr(bench, "git", lambda *args: pytest.fail("git was called"))
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["7", "b", *args])
+    assert str(exc.value) == message
+    assert bench.checkouts == []
+    assert _no_file_written(tmp_path)
 
 
 def test_abpair_runs_both_sides_of_a_pair_on_one_seed_in_a_drawn_order(tmp_path, monkeypatch):
-    abpair = _abpair(tmp_path, monkeypatch)
+    bench = _bench(tmp_path, monkeypatch, workloads=("first", "second"))
+    monkeypatch.setattr(bench, "cold_simulate", lambda root: 1.0)
     calls = []
-    env = {"numpy": "2", "python": "3", "cpu_count": 2, "cpu_model": "cpu"}
 
     def run_once(root, workload, seed, seconds):
         calls.append((root.name, seed))
-        wall = 1.0 if root.name == "hh" else 2.0  # head wins every pair
-        metrics = {"wall_s": {"value": wall}, "runs_per_s": {"value": 1 / wall}}
-        return env, {"correct": True, "metrics": metrics}
+        return ENV, _result(1.0 if root.name == "hh" else 2.0)  # head wins every pair
 
-    monkeypatch.setattr(abpair, "run_once", run_once)
-    args = ["b", "h", "--workload", "w", "--pairs", "6", "--seconds", "1", "--first-seed", "40"]
-    assert abpair.main([*args, "--n", "3"]) == 0
-    ab = json.loads((tmp_path / "AB_3.json").read_text())
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["3", "b", "h", "--workload", "second", "--pairs", "6", "--first-seed", "40"]) == 0
+    ab = json.loads((tmp_path / "BENCH_3.json").read_text())
     assert ab["seeds"] == [40, 41, 42, 43, 44, 45]
     assert sorted(ab["first"]) == ["base"] * 3 + ["head"] * 3
-    assert ab["first"] == abpair.first_sides(6, 40)  # the same draw for the same seed
+    assert ab["first"] == bench.first_sides(6, 40)  # the same draw for the same seed
     want = []
     for seed, first in zip(ab["seeds"], ab["first"]):
         sides = ["bb", "hh"] if first == "base" else ["hh", "bb"]
         want += [(side, seed) for side in sides]
     assert calls == want
-    wall = ab["metrics"]["wall_s"]
-    assert wall["wins"] == {"base": 0, "head": 6} == ab["metrics"]["runs_per_s"]["wins"]
+    assert list(ab["workloads"]) == ["second"]
+    metrics = ab["workloads"]["second"]["metrics"]
+    wall = metrics["wall_s"]
+    assert wall["wins"] == {"base": 0, "head": 6} == metrics["runs_per_s"]["wins"]
     assert wall["head"]["runs"] == [1.0] * 6 and wall["base"]["median"] == 2.0
     assert wall["sign_test_p"] == 2 / 2**6
-    assert (ab["base"], ab["head"], ab["cpu_model"], ab["tree_dirty"]) == ("bb", "hh", "cpu", False)
+    assert (ab["base"], ab["head"], ab["cpu_model"], ab["seconds"]) == ("bb", "hh", "cpu", 1)
 
 
 @pytest.mark.parametrize("wins, losses, p", [
@@ -176,32 +253,39 @@ def test_abpair_runs_both_sides_of_a_pair_on_one_seed_in_a_drawn_order(tmp_path,
     (3, 1, 10 / 16),
 ])
 def test_abpair_sign_test(wins, losses, p):
-    abpair = runpy.run_path(str(SCRIPTS / "abpair.py"))
-    assert abpair["sign_test"](wins, losses) == pytest.approx(p, rel=1e-15)
-    assert abpair["sign_test"](losses, wins) == abpair["sign_test"](wins, losses)
+    bench = runpy.run_path(str(SCRIPTS / "bench.py"))
+    assert bench["sign_test"](wins, losses) == pytest.approx(p, rel=1e-15)
+    assert bench["sign_test"](losses, wins) == bench["sign_test"](wins, losses)
 
 
 def test_abpair_refuses_revisions_whose_benchmark_differs(tmp_path, monkeypatch):
-    abpair = _abpair(tmp_path, monkeypatch, diff="perfbench/run.py\nBENCHMARK.json")
-    monkeypatch.setattr(abpair, "run_once", lambda *args: pytest.fail("a run was started"))
+    bench = _bench(tmp_path, monkeypatch, diff="perfbench/run.py\nBENCHMARK.json")
+    monkeypatch.setattr(bench, "run_once", lambda *args: pytest.fail("a run was started"))
     with pytest.raises(SystemExit) as exc:
-        abpair.main(["b", "h", "--workload", "w", "--pairs", "2", "--seconds", "1", "--n", "3"])
-    assert str(exc.value) == ("abpair: the benchmark differs between the revisions "
-                              "(perfbench/run.py, BENCHMARK.json); no AB file written")
-    assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
+        bench.main(["3", "b", "h", "--pairs", "2"])
+    assert str(exc.value) == ("bench: the benchmark differs between the commits "
+                              "(perfbench/run.py, BENCHMARK.json); no BENCH file written")
+    assert bench.checkouts == []
+    assert _no_file_written(tmp_path)
 
 
 def test_abpair_ends_a_timed_out_run_in_one_line(tmp_path, monkeypatch):
-    abpair = _abpair(tmp_path, monkeypatch)
-    monkeypatch.setattr(abpair.subprocess, "run", _timed_out)
+    bench = _bench(tmp_path, monkeypatch, workloads=("first", "second"))
+    monkeypatch.setattr(bench, "cold_simulate", lambda root: 1.0)
+    second = "hh" if bench.first_sides(2, 7)[0] == "base" else "bb"  # the side run second
+
+    def run(argv, **kwargs):
+        if "second" in argv and kwargs["cwd"].name == second:
+            _timed_out(argv, **kwargs)
+        return _printed(argv, _result(1.0))
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
     with pytest.raises(SystemExit) as exc:
-        abpair.main(["b", "h", "--workload", "w", "--pairs", "2", "--seconds", "1",
-                     "--first-seed", "7", "--n", "3"])
-    first = abpair.first_sides(2, 7)[0]
-    assert str(exc.value) == (f"abpair: {first[0] * 2} w seed 7 timed out after 304 s; "
-                              "no AB file written")
+        bench.main(["3", "b", "h", "--pairs", "2", "--first-seed", "7"])
+    assert str(exc.value) == (f"bench: second seed 7 on {second} timed out after 304 s; "
+                              "no BENCH file written")
     assert "\n" not in str(exc.value)
-    assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
+    assert _no_file_written(tmp_path)
 
 
 def test_abpair_checkout_is_a_worktree_removed_on_exit(tmp_path, monkeypatch):
@@ -216,13 +300,11 @@ def test_abpair_checkout_is_a_worktree_removed_on_exit(tmp_path, monkeypatch):
     (repo / "f").write_text("x")
     git("add", "f")
     git("commit", "-qm", "c")
-    spec = importlib.util.spec_from_file_location("abpair", SCRIPTS / "abpair.py")
-    abpair = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(abpair)
-    monkeypatch.setattr(abpair, "ROOT", repo)
-    monkeypatch.setattr(abpair.tempfile, "tempdir", str(tmp_path))
+    bench = _load()
+    monkeypatch.setattr(bench, "ROOT", repo)
+    monkeypatch.setattr(bench.tempfile, "tempdir", str(tmp_path))
     with pytest.raises(RuntimeError):
-        with abpair.checkout(git("rev-parse", "HEAD")) as path:
+        with bench.checkout(git("rev-parse", "HEAD")) as path:
             assert (path / "f").read_text() == "x"
             raise RuntimeError  # a failed run still removes the checkout
     assert not path.exists()
