@@ -12,7 +12,9 @@ interpreter, on every workload of ``BENCHMARK.json`` (or each ``--workload``
 named) for its ``run_seconds``, both sides on the same workload seed
 (``--first-seed`` plus the pair's index). Then it times one fresh
 ``python -m propeq simulate`` process of each side (``cold_simulate``); each
-checkout runs one untimed first, so that it has its bytecode. Which side goes
+checkout runs one untimed first, so that it has its bytecode. Every process
+the script starts runs without PYTHONDONTWRITEBYTECODE, so that the untimed
+one writes that bytecode and every timed one reads it. Which side goes
 first is drawn per pair from a shuffled, balanced list (seeded by
 ``--first-seed``), so drift of the host falls on both sides alike.
 
@@ -21,8 +23,7 @@ first is drawn per pair from a shuffled, balanced list (seeded by
 side's per-pair values with their median and quartiles, how many pairs each
 side won (ties apart) and the two-sided sign-test p-value of those wins; per
 workload each side's attempted and failed operations; and both commits, the
-pairs' seeds and orders, whether PYTHONDONTWRITEBYTECODE was set, and the
-numpy version, core count and CPU model. A run that fails, times out, prints
+pairs' seeds and orders, and the numpy version, core count and CPU model. A run that fails, times out, prints
 no JSON result or whose result is not ``correct`` ends the script with exit 1
 in one line, before any file is written; so does a failed cold process. A
 claim reads its pairs: the parent side of its own BENCH file is its baseline.
@@ -65,8 +66,13 @@ def checkout(commit: str):
             git("worktree", "remove", "--force", str(path))
 
 
-def run(argv: list[str], root: Path, failed: str, timeout: float, env: dict | None = None):
-    """``argv`` run to a zero exit in ``root``; anything else ends the script in one line."""
+def run(argv: list[str], root: Path, failed: str, timeout: float, **env: str):
+    """``argv`` run to a zero exit in ``root``; anything else ends the script in one line.
+
+    The child's environment is this one with ``env`` set and without
+    PYTHONDONTWRITEBYTECODE.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"} | env
     try:
         proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
                               timeout=timeout)
@@ -100,7 +106,7 @@ def cold_simulate(root: Path) -> float:
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
     run([sys.executable, "-m", "propeq", "simulate", "--out", os.devnull], root,
-        f"bench: cold simulate on {root.name}", 300, {**os.environ, "PYTHONPATH": path})
+        f"bench: cold simulate on {root.name}", 300, PYTHONPATH=path)
     return time.perf_counter() - start
 
 
@@ -202,8 +208,7 @@ def main(argv: list[str] | None = None) -> int:
                                              **compare(values[w][name], m["better"])}
                                       for name, m in metrics.items()}}
                       for w in workloads},
-        "cold_simulate": {"unit": "s", "better": "lower", **compare(cold, "lower"),
-                          "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))},
+        "cold_simulate": {"unit": "s", "better": "lower", **compare(cold, "lower")},
     }
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(bench, indent=2) + "\n")

@@ -6,11 +6,6 @@ propellers, with coefficients normalized so an all-unity g stays unit gain.
 Reception multiplies the transmit buffer by the aggregate gain and then adds
 seeded complex circular Gaussian noise at a configured SNR (the engine in
 ``pipeline`` adds it in the frequency domain).
-
-The default square-wave shape (duty 0.3, levels 0.5/1.0) is strictly
-positive, so dividing by its band-limited estimate stays well conditioned,
-and it carries a strong 4th harmonic, which is what turns rotation rates of
-22.5 and 37.5 Hz into equalization blind spots at the 90/150 Hz ILS tones.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signals import SampleBuffer, SampleClock, check_finite
+from .signals import SampleBuffer, SampleClock, check_finite, check_finite_fields
 from .spectral import Spectrum, forward_fft
 
 _COEFF_NORM_TOL = 1e-12
@@ -31,6 +26,11 @@ _COEFF_NORM_TOL = 1e-12
 class SquareWave:
     """Two-level chop: gain is ``lo`` for the first ``duty`` of each cycle."""
 
+    # the default chop. Levels 0.5/1.0 keep it strictly positive, so dividing by
+    # its band-limited estimate stays well conditioned. Duty 0.3 keeps the 3rd
+    # and 7th harmonics weak (few spurious blind-spot flags on the half-Hz sweep
+    # grid) and the 4th strong, which makes rotation rates of 22.5 and 37.5 Hz
+    # equalization blind spots at the 90/150 Hz ILS tones
     duty: float = 0.3
     lo: float = 0.5
     hi: float = 1.0
@@ -40,6 +40,7 @@ class SquareWave:
             raise ValueError(f"duty must be in (0, 1), got {self.duty}")
         if not 0.0 < self.lo <= self.hi:
             raise ValueError(f"need 0 < lo <= hi, got lo={self.lo} hi={self.hi}")
+        check_finite_fields(self, "lo", "hi")
 
     def cycle_gain(self, frac: np.ndarray) -> np.ndarray:
         # left-closed: frac == 0 is the low level, frac == duty the high one
@@ -121,6 +122,7 @@ class PropellerModel:
             raise ValueError(f"f_p must be > 0, got {self.f_p}")
         if not self.coeff > 0:
             raise ValueError(f"coeff must be > 0, got {self.coeff}")
+        check_finite_fields(self, "f_p", "phase", "coeff")
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,8 @@ class ChannelConfig:
         if len(props) == 0:
             raise ValueError("propellers must be non-empty")
         total = sum(p.coeff for p in props)
+        if not total < math.inf:
+            raise ValueError(f"propeller coefficients must have a finite sum, got {total}")
         if abs(total - 1.0) > _COEFF_NORM_TOL:
             props = tuple(replace(p, coeff=p.coeff / total) for p in props)
         object.__setattr__(self, "propellers", props)
@@ -180,8 +184,11 @@ def check_seed(seed: int) -> None:
 def eval_modulator(cfg: ChannelConfig, clock: SampleClock) -> np.ndarray:
     """Aggregate gain m[k] = sum_p coeff_p * g_p(2*pi*f_p*t_k - phase_p), a float64 array.
 
-    Gains too large for their sum to be a float are rejected, unwarned.
+    A rate that aliases on ``clock`` is rejected first, and gains too large
+    for their sum to be a float are rejected, unwarned.
     """
+    for p in cfg.propellers:
+        check_rate(p.f_p, clock)
     m = np.zeros(clock.n_samples)
     with np.errstate(over="ignore"):
         for p in cfg.propellers:

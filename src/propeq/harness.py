@@ -38,12 +38,9 @@ from .pipeline import FpSummary, RunResult, SweepResult  # FpSummary: re-exporte
 from .signals import IlsParams, SampleClock, ToneParams
 from .spectral import BandSpec, Spectrum, bin_index, check_band, folded_frequencies
 
-# Default square-wave chop and phase. Duty 0.3 keeps the 3rd/7th harmonics
-# weak (few spurious blind-spot flags on the half-Hz sweep grid) while the
-# 4th harmonic stays strong enough to flag 22.5/37.5 Hz; the phase aligns
+# The default propeller is the class defaults but for its phase, which aligns
 # the 4th/6th-harmonic hits at f_p=15 into quadrature at the DDM bins so the
 # low end of the sweep stays at the noise floor.
-DEFAULT_SQUARE = SquareWave(duty=0.3, lo=0.5, hi=1.0)
 DEFAULT_PROPELLER_PHASE = 1.366
 
 
@@ -56,16 +53,7 @@ class ScenarioConfig:
     tone: ToneParams = ToneParams()
     channel: ChannelConfig = field(
         default_factory=lambda: ChannelConfig(
-            propellers=(
-                PropellerModel(
-                    shape=DEFAULT_SQUARE,
-                    f_p=30.0,
-                    phase=DEFAULT_PROPELLER_PHASE,
-                    coeff=1.0,
-                ),
-            ),
-            snr_db=20.0,
-            rng_seed=0,
+            (PropellerModel(SquareWave(), phase=DEFAULT_PROPELLER_PHASE),), snr_db=20.0
         )
     )
     signal_half_width_hz: float = 300.0

@@ -15,7 +15,7 @@ computes each product once, at the outermost layer it depends on:
   Then, once per seed block, the two band series of those clean bins (s_c,
   g_c; see ``Pipeline.series``);
 * per seed (``Noise``): the unit noise spectrum W, of which only the band
-  bins and the norm are kept;
+  bins and the norm are kept (a noiseless scenario's is zero, for any seed);
 * per seed block: the two band series of each seed's unit noise bins (s_w,
   g_w). A block holds as many seeds as ``NOISE_BLOCK_BYTES`` allows, 5 on the
   default 32000-point clock, so the engine holds O(N x block + seeds x band
@@ -33,8 +33,8 @@ The FFT is linear, so a run's received spectrum is FFT(tx*m) + scale*W, and
 so are its band bins. The band IFFT is linear too, so the run's series are
 the sums above to roundoff: the default 51-rate, 10-seed sweep makes
 2*51*2 + 2*10 = 224 band IFFTs, not 2 per run. A grid with a single rate or
-a single seed, or without noise, shares no series, so each of its runs makes
-the two band IFFTs of its own received bins, as ``Pipeline.equalized`` does.
+a single seed shares no series, so each of its runs makes the two band
+IFFTs of its own received bins, as ``Pipeline.equalized`` does.
 A band IFFT is a batch of short P-point transforms (50 of 640 points on the
 default clock). The tone band is demodulated by shifting its bins to
 baseband before its IFFT, so no carrier is multiplied in. The raw DDM is
@@ -233,6 +233,8 @@ class Pipeline:
         self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
         # the bins of M the blind-spot flags read: 0 Hz, then CRITICAL_FREQS
         self._critical_idx = [bin_index(clock, f) for f in (0.0, *CRITICAL_FREQS)]
+        # a noiseless scenario's one noise stage, for every seed: read-only zero bins
+        self._zero_noise = Noise(*(np.broadcast_to(0j, len(b)) for b in (signal, tone)), 0.0)
 
     def modulate(self, f_p: float | None = None) -> Modulated:
         """The scenario's modulator, with every propeller at ``f_p`` if given."""
@@ -251,11 +253,11 @@ class Pipeline:
             flags=flag_blind_spots(spec[self._critical_idx]),
         )
 
-    def noise(self, seed: int) -> Noise | None:
-        """The seed's unit noise stage; None when the scenario is noiseless."""
+    def noise(self, seed: int) -> Noise:
+        """The seed's unit noise stage; zero, and the same for every seed, when noiseless."""
         check_seed(seed)
         if self.cfg.channel.snr_db is None:
-            return None
+            return self._zero_noise
         # unit noise is finite, and so is its spectrum: nothing to check. The
         # transform overwrites the draws, so no second capture-length array is made
         spec = unit_noise(seed, self.cfg.clock.n_samples)
@@ -278,7 +280,7 @@ class Pipeline:
     def run(
         self,
         mod: Modulated,
-        noise: Noise | None,
+        noise: Noise,
         parts: tuple[np.ndarray, np.ndarray] | None = None,
         ws: np.ndarray | None = None,
     ) -> tuple[float, float]:
@@ -299,7 +301,7 @@ class Pipeline:
         check_finite(bins, "equalized samples")
         return ddm_raw, compute_ddm(self._amplitudes(bins))
 
-    def equalized(self, mod: Modulated, noise: Noise | None) -> SampleBuffer:
+    def equalized(self, mod: Modulated, noise: Noise) -> SampleBuffer:
         """The equalized capture of one run."""
         q = self._equalize(mod, noise, *self._receive(mod, noise))
         check_finite(q, "equalized samples")
@@ -308,12 +310,10 @@ class Pipeline:
     def _amplitudes(self, bins: np.ndarray):
         return amplitudes_from_bins(bins, self.cfg.clock.n_samples)
 
-    def _receive(self, mod: Modulated, noise: Noise | None) -> tuple[np.ndarray, np.ndarray]:
+    def _receive(self, mod: Modulated, noise: Noise) -> tuple[np.ndarray, np.ndarray]:
         """The received signal-band and tone-band bins, in ascending frequency."""
-        signal, tone = mod.signal, mod.tone
-        if noise is not None:
-            signal = signal + mod.scale * noise.signal
-            tone = tone + mod.scale * noise.tone
+        signal = mod.signal + mod.scale * noise.signal
+        tone = mod.tone + mod.scale * noise.tone
         check_finite(signal, "received bins")
         check_finite(tone, "received bins")
         return signal, tone
@@ -321,7 +321,7 @@ class Pipeline:
     def _equalize(
         self,
         mod: Modulated,
-        noise: Noise | None,
+        noise: Noise,
         signal: np.ndarray,
         tone: np.ndarray,
         parts: tuple[np.ndarray, np.ndarray] | None = None,
@@ -343,15 +343,14 @@ class Pipeline:
         s, g = ws
         return regularized_divide(s, g, self.cfg.reg.eps_rel, out=g)
 
-    def _check_tone_energy(self, mod: Modulated, noise: Noise | None, tone: np.ndarray) -> None:
+    def _check_tone_energy(self, mod: Modulated, noise: Noise, tone: np.ndarray) -> None:
         # The received energy ||S + scale*W||^2 is ||S||^2 + scale^2*||W||^2
         # plus a cross term whose mean is 0. A tone band at most 1e-24 of that
         # holds only FFT roundoff. A capture can be so loud that its energy
         # overflows, and then nothing is decided.
-        noise_norm = 0.0 if noise is None else noise.norm
         with np.errstate(over="ignore"):
             band_energy = float(np.sum(np.abs(tone) ** 2))
-            total = float(np.square(mod.norm) + np.square(mod.scale * noise_norm))
+            total = float(np.square(mod.norm) + np.square(mod.scale * noise.norm))
         if not total < math.inf:
             raise ValueError("received energy must be finite")
         if band_energy <= 1e-24 * total:
@@ -407,7 +406,7 @@ def sweep(
     scenario and noise products, and their results are read in grid order,
     so every number is the same as in a serial sweep.
 
-    With noise, more than one rate and more than one seed, the seeds run in
+    With more than one rate and more than one seed, the seeds run in
     blocks of ``seeds_per_block``: each block's noise series are made once,
     then each rate's task makes its clean series once for the block, and
     every run sums the two. Otherwise nothing is shared, there is one block,
@@ -421,7 +420,7 @@ def sweep(
         raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
     pipe = Pipeline(cfg)
     noises = [pipe.noise(s) for s in seeds]
-    shared = len(rates) > 1 and len(seeds) > 1 and cfg.channel.snr_db is not None
+    shared = len(rates) > 1 and len(seeds) > 1
     n = cfg.clock.n_samples
     size = seeds_per_block(n) if shared else len(seeds)
     # one block's unit noise series, reused by every block: fresh arrays per
@@ -465,8 +464,8 @@ def sweep(
     return SweepResult(tuple(results), tuple(summaries))
 
 
-def rx_spectrum(cfg: ScenarioConfig, seed: int | None) -> Spectrum:
-    """The scenario's full received spectrum with ``seed``'s noise; None adds none.
+def rx_spectrum(cfg: ScenarioConfig) -> Spectrum:
+    """The scenario's full received spectrum, with the noise of its seed.
 
     Every bin is formed as a run forms its band bins, plus scale*W at the runs'
     noise scale; no ``Pipeline``, band plans or DDM twiddles are built.
@@ -476,8 +475,8 @@ def rx_spectrum(cfg: ScenarioConfig, seed: int | None) -> Spectrum:
     spec, power = _chop_spectrum(eval_modulator(cfg.channel, clock), tx_period)
     bins = _line_sum(lines, spec, 0, n)
     del spec  # the noise does not need it, and a long capture's peak memory is lower
-    if seed is not None and snr_db is not None:
-        noise = unit_noise(seed, n)
+    if snr_db is not None:
+        noise = unit_noise(cfg.channel.rng_seed, n)
         np.fft.fft(noise, out=noise)
         with np.errstate(over="ignore", invalid="ignore"):
             noise *= power_noise_scale(power, snr_db)
@@ -491,8 +490,7 @@ def stage_spectrum(cfg: ScenarioConfig, stage: str) -> Spectrum:
         return modulator_spectrum(cfg.channel, cfg.clock)
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
-    seed = cfg.channel.rng_seed
     if stage == "rx":
-        return rx_spectrum(cfg, seed)
+        return rx_spectrum(cfg)
     pipe = Pipeline(cfg)
-    return forward_fft(pipe.equalized(pipe.modulate(), pipe.noise(seed)))
+    return forward_fft(pipe.equalized(pipe.modulate(), pipe.noise(cfg.channel.rng_seed)))

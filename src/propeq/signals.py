@@ -63,6 +63,13 @@ def check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def check_finite_fields(obj: object, *names: str) -> None:
+    """Reject an object whose named number fields are not all finite."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
+
+
 def freeze_capture(container, field: str) -> None:
     """Make ``container.<field>`` a read-only, finite complex array of its clock's length."""
     arr = np.asarray(getattr(container, field), dtype=np.complex128)
@@ -108,6 +115,7 @@ class IlsParams:
             raise ValueError(f"a_c must be > 0, got {self.a_c}")
         if self.a_90 < 0 or self.a_150 < 0:
             raise ValueError("tone amplitudes must be >= 0")
+        check_finite_fields(self, "a_c", "a_90", "a_150", "phase_90", "phase_150")
 
     @property
     def ddm(self) -> float:
@@ -136,3 +144,4 @@ class ToneParams:
             raise ValueError(
                 f"offset_hz must be >= 300 to separate tone and signal, got {self.offset_hz}"
             )
+        check_finite_fields(self, "amp", "phase")

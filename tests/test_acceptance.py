@@ -211,8 +211,8 @@ def test_criterion_7_property_suites(tmp_path):
 
     # powers from the engine's spectra; Parseval's 1/N^2 cancels in the ratio
     cfg = default_scenario()
-    clean = rx_spectrum(cfg, None).bins
-    noisy = rx_spectrum(cfg, cfg.channel.rng_seed).bins
+    clean = rx_spectrum(scenario_with(cfg, snr_db=None)).bins
+    noisy = rx_spectrum(cfg).bins
     p_sig = np.mean(np.abs(clean) ** 2)
     p_noise = np.mean(np.abs(noisy - clean) ** 2)
     awgn_err = abs(10 * np.log10(p_noise / (p_sig / 100.0)))
@@ -227,9 +227,9 @@ def test_criterion_7_property_suites(tmp_path):
     # a channel gain of 3.7 scales the whole received spectrum
     k = 3.7
     scaled = replace(base, signal=k * base.signal, tone=k * base.tone, norm=k * base.norm)
-    ddm = pipe.run(base, None)[1]
+    ddm = pipe.run(base, pipe.noise(0))[1]
 
-    gain_err = abs(pipe.run(scaled, None)[1] - ddm)
+    gain_err = abs(pipe.run(scaled, pipe.noise(0))[1] - ddm)
     checks.append(("ddm gain invariance <=1e-9", gain_err <= 1e-9, f"{gain_err:.2e}"))
     phase_err = abs(run_single(replace(sine, tone=ToneParams(phase=0.9))).ddm_eq - ddm)
     checks.append(("ddm tone-phase invariance <=1e-9", phase_err <= 1e-9, f"{phase_err:.2e}"))

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from propeq import (
     ChannelConfig,
     CustomCycle,
+    IlsParams,
     PropellerModel,
     ScenarioConfig,
     SampleClock,
     SineRipple,
     SquareWave,
+    ToneParams,
     bin_index,
     eval_modulator,
     modulator_spectrum,
+    scenario_with,
 )
 from propeq.channel import _cycle_frac, unit_noise
 from propeq.pipeline import rx_spectrum
@@ -35,8 +38,7 @@ def one_prop(shape, f_p=30.0, phase=0.0, snr_db=None, rng_seed=0):
 def received(clock, channel):
     """The engine's clean and noisy received spectra of the default transmission."""
     cfg = ScenarioConfig(clock=clock, channel=channel)
-    seed = None if channel.snr_db is None else channel.rng_seed
-    return rx_spectrum(cfg, None).bins, rx_spectrum(cfg, seed).bins
+    return rx_spectrum(scenario_with(cfg, snr_db=None)).bins, rx_spectrum(cfg).bins
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +113,32 @@ def test_multi_propeller_sum_and_normalization(clock):
 def test_square_validation(shape_kwargs):
     with pytest.raises(ValueError):
         SquareWave(**shape_kwargs)
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PropellerModel(SquareWave(), phase=_NAN), "phase must be finite, got nan"),
+        (lambda: PropellerModel(SquareWave(), phase=-_INF), "phase must be finite, got -inf"),
+        (lambda: PropellerModel(SquareWave(), f_p=_INF), "f_p must be finite, got inf"),
+        (lambda: PropellerModel(SquareWave(), coeff=_INF), "coeff must be finite, got inf"),
+        (lambda: SquareWave(hi=_INF), "hi must be finite, got inf"),
+        (lambda: IlsParams(a_90=_NAN), "a_90 must be finite, got nan"),
+        (lambda: IlsParams(a_c=_INF), "a_c must be finite, got inf"),
+        (lambda: IlsParams(phase_150=_NAN), "phase_150 must be finite, got nan"),
+        (lambda: ToneParams(amp=_INF), "amp must be finite, got inf"),
+        (lambda: ToneParams(phase=_NAN), "phase must be finite, got nan"),
+        # each coefficient is finite, but their sum is not
+        (lambda: ChannelConfig((PropellerModel(SquareWave(), coeff=1e308),) * 2),
+         "propeller coefficients must have a finite sum, got inf"),
+    ],
+)
+def test_constructors_reject_non_finite_numbers(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_other_shape_validation():

@@ -102,7 +102,7 @@ def test_extraction_scales_with_tone_amp(clock):
 def test_unity_gain_equalize_is_windowed_signal(clock):
     cfg = scenario(clock, one_prop(CustomCycle(gains=(1.0,))))
     pipe = Pipeline(cfg)
-    out = pipe.equalized(pipe.modulate(), None).samples
+    out = pipe.equalized(pipe.modulate(), pipe.noise(cfg.channel.rng_seed)).samples
     expected = np.fft.ifft(oracles.in_band(oracles.received(cfg), clock, SIG_BAND))
     ref = np.sqrt(np.mean(np.abs(expected) ** 2))
     assert rms(out - expected) / ref <= 1e-10
@@ -173,7 +173,7 @@ def test_gain_invariance(small_clock, k):
     )
 
     def ddm_of(mod):
-        return pipe.run(mod, None)[1]
+        return pipe.run(mod, pipe.noise(0))[1]
 
     assert ddm_of(scaled) == pytest.approx(ddm_of(base), abs=1e-9)
 
@@ -218,6 +218,13 @@ def test_default_square_flags_4th_harmonic_rates(clock):
 
 def test_sine_ripple_never_flags(clock):
     assert predict_blind_spots(one_prop(SineRipple(0.5), f_p=25.0), clock) == ()
+
+
+@pytest.mark.parametrize("f_p", [16000.0, 32022.5])
+def test_blind_spots_refuse_a_rate_at_or_above_nyquist(clock, f_p):
+    # 32022.5 Hz would alias to 22.5 Hz on the 32 kHz clock and flag its 90 Hz
+    with pytest.raises(ValueError, match="must be below half the sample rate"):
+        predict_blind_spots(one_prop(SquareWave(), f_p=f_p), clock)
 
 
 def test_blind_spot_threshold_is_relative(clock):

@@ -33,7 +33,7 @@ from propeq import (
     sweep_fp,
 )
 from propeq.cli import main
-from propeq.harness import DEFAULT_PROPELLER_PHASE, DEFAULT_SQUARE, simulate
+from propeq.harness import DEFAULT_PROPELLER_PHASE, simulate
 from propeq.equalizer import BLIND_SPOT_THRESHOLD
 from propeq.pipeline import (
     STAGES,
@@ -74,8 +74,8 @@ SCENARIOS = {
     "default": default_scenario(),
     "multiprop": scenario_from_dict(MULTIPROP),
     "sine": single(SineRipple(0.5), f_p=25.0),
-    "noiseless": single(DEFAULT_SQUARE, f_p=22.5, snr_db=None),
-    "clock6400": single(DEFAULT_SQUARE, clock=SampleClock(rate_hz=6400.0, n_samples=6400)),
+    "noiseless": single(SquareWave(), f_p=22.5, snr_db=None),
+    "clock6400": single(SquareWave(), clock=SampleClock(rate_hz=6400.0, n_samples=6400)),
     "deep_chop": DEEP_CHOP,
     # a tone with phase and gain, and a signal band narrower than the tone
     # band, so the bands get separate IFFT plans and 150 Hz lies outside it
@@ -111,9 +111,13 @@ def test_sweep_shares_work_without_changing_runs(name):
     cfg = SCENARIOS[name]
     sweep = sweep_fp(cfg, 22.5, 23.5, 1.0, seeds=[0, 4])
     for r in sweep.results:
-        want = oracles.ddms(scenario_with(cfg, f_p=r.f_p_hz, seed=r.seed))
+        one = scenario_with(cfg, f_p=r.f_p_hz, seed=r.seed)
+        want = oracles.ddms(one)
         assert abs(r.ddm_raw - want[0]) <= DDM_TOL
         assert abs(r.ddm_eq - want[1]) <= DDM_TOL
+        if name == "noiseless":
+            # the shared sum clean + 0*zero is the run's own series, bit for bit
+            assert r == run_single(one)
 
 
 @pytest.mark.parametrize("threshold", [BLIND_SPOT_THRESHOLD, 0.05])
@@ -208,7 +212,7 @@ def test_sweep_summaries_hold_the_np_medians_of_their_runs():
 @pytest.mark.parametrize("name", ["default", "multiprop", "odd_clock"])
 def test_rx_dump_is_the_spectrum_of_the_six_line_transmit(name):
     # an odd clock has no Nyquist bin, so the rfft's mirror image is one bin shorter
-    odd = single(DEFAULT_SQUARE, clock=SampleClock(rate_hz=6401.0, n_samples=6401))
+    odd = single(SquareWave(), clock=SampleClock(rate_hz=6401.0, n_samples=6401))
     cfg = odd if name == "odd_clock" else SCENARIOS[name]
     # FFT(tx*m) with tx summed from its six lines at integer-reduced phases.
     # 1e-11 is about 1.6 eps of the largest bin (2.8e4); the dump is off by
@@ -216,12 +220,13 @@ def test_rx_dump_is_the_spectrum_of_the_six_line_transmit(name):
     # transmit sampled with float phases 2*pi*f*t by 6.9e-9 and 7.2e-9
     tx = oracles.transmit_by_lines(cfg)
     want = np.fft.fft(tx * eval_modulator(cfg.channel, cfg.clock))
-    np.testing.assert_allclose(rx_spectrum(cfg, None).bins, want, rtol=0, atol=1e-11)
+    clean = rx_spectrum(scenario_with(cfg, snr_db=None)).bins
+    np.testing.assert_allclose(clean, want, rtol=0, atol=1e-11)
     # with noise, its band bins are what a run reads, bit for bit: the dump and
     # the run form them by one line sum over one chop spectrum
     pipe = Pipeline(cfg)
     mod, noise = pipe.modulate(), pipe.noise(cfg.channel.rng_seed)
-    rx = rx_spectrum(cfg, cfg.channel.rng_seed).bins
+    rx = rx_spectrum(cfg).bins
     for band, clean, unit in ((cfg.signal_band, mod.signal, noise.signal),
                               (cfg.tone_band, mod.tone, noise.tone)):
         got = rx[band_offsets(cfg.clock, band) % cfg.clock.n_samples]
@@ -337,14 +342,18 @@ def test_simulate_makes_two_short_inverse_transforms(inverse_lengths):
 
 def test_default_sweep_makes_its_band_iffts_per_rate_and_per_seed(inverse_lengths):
     # each seed block: two band IFFTs per rate on its clean bins; each seed:
-    # two on its unit noise bins; a run sums them instead of making its own
+    # two on its unit noise bins, which are zero without noise; a run sums
+    # them instead of making its own
     rates, seeds = 51, list(range(10))
     blocks = math.ceil(len(seeds) / seeds_per_block(32000))
     assert blocks == 2
-    sweep = sweep_fp(default_scenario(), 15.0, 40.0, 0.5, seeds=seeds)
-    assert len(sweep.results) == rates * len(seeds)
-    assert len(inverse_lengths) == 2 * rates * blocks + 2 * len(seeds) == 224
-    assert set(inverse_lengths) == {640}
+    for snr_db in (20.0, None):
+        inverse_lengths.clear()
+        cfg = scenario_with(default_scenario(), snr_db=snr_db)
+        sweep = sweep_fp(cfg, 15.0, 40.0, 0.5, seeds=seeds)
+        assert len(sweep.results) == rates * len(seeds)
+        assert len(inverse_lengths) == 2 * rates * blocks + 2 * len(seeds) == 224, snr_db
+        assert set(inverse_lengths) == {640}
 
 
 def test_sweep_holds_one_block_of_noise_series():
@@ -477,7 +486,7 @@ def test_six_line_bands_where_a_gather_wraps_past_half_the_clock():
     # and a tone-band bin minus the -150 Hz line lies past N/2, so the
     # modulator's rfft is read conjugated from the mirrored bin; the square
     # chop has harmonics there
-    cfg = single(DEFAULT_SQUARE, f_p=25.0, clock=SampleClock(rate_hz=3600.0, n_samples=3600))
+    cfg = single(SquareWave(), f_p=25.0, clock=SampleClock(rate_hz=3600.0, n_samples=3600))
     assert band_offsets(cfg.clock, cfg.tone_band).max() + 150 > cfg.clock.n_samples // 2
     _assert_lines_match_synth(cfg)
 
@@ -497,7 +506,7 @@ _PHASE = st.floats(0.0, 2 * math.pi)
 def test_six_line_bands_match_drawn_transmits(n, amps, phases, f_p, snr_db):
     a_c, a_90, a_150, amp = amps
     phase_90, phase_150, tone_phase, prop_phase = phases
-    prop = PropellerModel(shape=DEFAULT_SQUARE, f_p=f_p, phase=prop_phase)
+    prop = PropellerModel(shape=SquareWave(), f_p=f_p, phase=prop_phase)
     cfg = ScenarioConfig(
         clock=SampleClock(rate_hz=float(n), n_samples=n),
         ils=IlsParams(a_c, a_90, a_150, phase_90, phase_150),

@@ -148,7 +148,27 @@ def test_bench_script_times_fresh_simulate_processes(tmp_path, monkeypatch):
         assert len(cold[side]["runs"]) == 3
         assert cold[side]["q1"] <= cold[side]["median"] <= cold[side]["q3"]
     assert cold["unit"] == "s" and sum(cold["wins"].values()) <= 3
-    assert cold["pythondontwritebytecode"] is True
+    assert "pythondontwritebytecode" not in cold
+
+
+def test_bench_script_children_run_without_pythondontwritebytecode(tmp_path, monkeypatch):
+    # the untimed cold process writes each checkout's bytecode, and every
+    # timed process, benchmark run or cold simulate, reads it
+    bench = _load()
+    envs = []
+
+    def run(argv, **kwargs):
+        envs.append(kwargs["env"])
+        return _printed(argv, _result(1.0))
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    bench.run_once(tmp_path / "hh", "first", 1, 1.0)
+    bench.cold_simulate(tmp_path / "hh")
+    assert len(envs) == 2
+    for env in envs:
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        assert env["PATH"] == os.environ["PATH"]
 
 
 def test_bench_script_reports_a_failed_cold_process(tmp_path, monkeypatch):
