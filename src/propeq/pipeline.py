@@ -233,8 +233,8 @@ class Pipeline:
         self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
         # the bins of M the blind-spot flags read: 0 Hz, then CRITICAL_FREQS
         self._critical_idx = [bin_index(clock, f) for f in (0.0, *CRITICAL_FREQS)]
-        # a noiseless scenario's one noise stage, for every seed: read-only zero bins
-        self._zero_noise = Noise(*(np.broadcast_to(0j, len(b)) for b in (signal, tone)), 0.0)
+        if cfg.channel.snr_db is None:  # one read-only zero noise stage serves every seed
+            self._zero_noise = Noise(*(np.broadcast_to(0j, len(b)) for b in (signal, tone)), 0.0)
 
     def modulate(self, f_p: float | None = None) -> Modulated:
         """The scenario's modulator, with every propeller at ``f_p`` if given."""
