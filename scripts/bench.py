@@ -21,8 +21,10 @@ first is drawn per pair from a shuffled, balanced list (seeded by
 ``BENCH_<n>.json`` in the repository root holds, per workload and metric of
 ``BENCHMARK.json``'s ``end_to_end`` list and for ``cold_simulate``, each
 side's per-pair values with their median and quartiles, how many pairs each
-side won (ties apart) and the two-sided sign-test p-value of those wins; per
-workload each side's attempted and failed operations; and both commits, the
+side won (ties apart) and the two-sided sign-test p-value of those wins; for
+a metric with a ``bound``, whether the pairs resolve a change of that size
+(``resolved``, see ``compare``); per workload each side's attempted and
+failed operations; and both commits, the
 pairs' seeds and orders, and the numpy version, core count and CPU model. A
 run that fails, times out, prints no JSON result or whose result is not
 ``correct`` ends the script with exit 1 in one line, before any file is
@@ -131,16 +133,24 @@ def sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2 * tail / 2**n)
 
 
-def compare(values: dict[str, list[float]], better: str) -> dict:
-    """Each side's summary, the pairs each side won, and the sign test of those wins."""
+def compare(values: dict[str, list[float]], better: str, bound: float | None = None) -> dict:
+    """Each side's summary, the pairs each side won, and the sign test of those wins.
+
+    Given the metric's ``bound``, ``resolved`` says whether the runs can tell
+    a change of that size: false when the base's q3 - q1 exceeds ``bound``
+    times its median, unless every head run is better than every base run.
+    """
     sign = -1 if better == "lower" else 1
     head_won = sum(sign * (h - b) > 0 for b, h in zip(values["base"], values["head"]))
     base_won = sum(sign * (b - h) > 0 for b, h in zip(values["base"], values["head"]))
-    return {
-        **{side: summary(values[side]) for side in SIDES},
-        "wins": {"base": base_won, "head": head_won},
-        "sign_test_p": sign_test(head_won, base_won),
-    }
+    sides = {side: summary(values[side]) for side in SIDES}
+    out = {**sides, "wins": {"base": base_won, "head": head_won},
+           "sign_test_p": sign_test(head_won, base_won)}
+    if bound is not None:
+        base = sides["base"]
+        apart = min(sign * h for h in values["head"]) > max(sign * b for b in values["base"])
+        out["resolved"] = base["q3"] - base["q1"] <= bound * base["median"] or apart
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -206,7 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         "first": order,
         "workloads": {w: {**counts[w],
                           "metrics": {name: {"unit": m["unit"], "better": m["better"],
-                                             **compare(values[w][name], m["better"])}
+                                             **compare(values[w][name], m["better"],
+                                                       m.get("bound"))}
                                       for name, m in metrics.items()}}
                       for w in workloads},
         "cold_simulate": {"unit": "s", "better": "lower", **compare(cold, "lower")},

@@ -14,7 +14,6 @@ from .channel import (
     SineRipple,
     SquareWave,
     eval_modulator,
-    modulator_spectrum,
 )
 from .equalizer import RegPolicy, predict_blind_spots
 from .errors import CarrierLostError, PipelineError, ToneAbsentError
@@ -35,7 +34,7 @@ from .harness import (
     sweep_fp,
 )
 from .metrics import ToneAmplitudes, compute_ddm
-from .pipeline import FpSummary, RunResult, SweepResult
+from .pipeline import FpSummary, RunResult, SweepResult, modulator_spectrum
 from .signals import IlsParams, SampleBuffer, SampleClock, ToneParams
 from .spectral import (
     BandSpec,

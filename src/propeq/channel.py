@@ -3,9 +3,8 @@
 Each propeller contributes a periodic real gain g evaluated once per output
 sample; the aggregate modulator is the coefficient-weighted sum over
 propellers, with coefficients normalized so an all-unity g stays unit gain.
-Reception multiplies the transmit buffer by the aggregate gain and then adds
-seeded complex circular Gaussian noise at a configured SNR (the engine in
-``pipeline`` adds it in the frequency domain).
+The receive channel adds seeded complex circular Gaussian noise at a configured
+SNR. The engine in ``pipeline`` applies both, and forms every spectrum.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signals import SampleBuffer, SampleClock, check_finite, check_finite_fields
-from .spectral import Spectrum, forward_fft
+from .signals import SampleClock, check_finite, check_finite_fields
 
 _COEFF_NORM_TOL = 1e-12
 
@@ -219,8 +217,3 @@ def unit_noise(seed: int, n: int) -> np.ndarray:
     out.real = draw
     out.imag = rng.standard_normal(out=draw)
     return out
-
-
-def modulator_spectrum(cfg: ChannelConfig, clock: SampleClock) -> Spectrum:
-    """Spectrum of the aggregate gain over the capture window."""
-    return forward_fft(SampleBuffer(clock, eval_modulator(cfg, clock)))

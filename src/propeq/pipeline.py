@@ -66,14 +66,13 @@ import numpy as np
 from .channel import (
     check_seed,
     eval_modulator,
-    modulator_spectrum,
     power_noise_scale,
     unit_noise,
 )
 from .equalizer import CRITICAL_FREQS, flag_blind_spots, regularized_divide
 from .errors import ToneAbsentError
 from .metrics import DDM_FREQS, amplitudes_from_bins, compute_ddm
-from .signals import SampleBuffer, check_finite
+from .signals import SampleBuffer, SampleClock, check_finite
 from .spectral import (
     BandIfft,
     Spectrum,
@@ -86,6 +85,7 @@ from .spectral import (
 )
 
 if TYPE_CHECKING:
+    from .channel import ChannelConfig
     from .harness import ScenarioConfig
 
 STAGES = ("modulator", "rx", "equalized")
@@ -349,7 +349,7 @@ class Pipeline:
         # holds only FFT roundoff. A capture can be so loud that its energy
         # overflows, and then nothing is decided.
         with np.errstate(over="ignore"):
-            band_energy = float(np.sum(np.abs(tone) ** 2))
+            band_energy = float(np.sum(_abs_square(tone)))
             total = float(np.square(mod.norm) + np.square(mod.scale * noise.norm))
         if not total < math.inf:
             raise ValueError("received energy must be finite")
@@ -462,6 +462,12 @@ def sweep(
         summaries.append(FpSummary(mod.f_p_hz, median([r.dev_raw for r in records]),
                                    median([r.dev_eq for r in records]), mod.flags))
     return SweepResult(tuple(results), tuple(summaries))
+
+
+def modulator_spectrum(cfg: ChannelConfig, clock: SampleClock) -> Spectrum:
+    """Spectrum of the aggregate gain over the capture window."""
+    # not _chop_spectrum's cheaper rfft mirror: this FFT leaves bins with no chop line exactly 0
+    return forward_fft(SampleBuffer(clock, eval_modulator(cfg, clock)))
 
 
 def rx_spectrum(cfg: ScenarioConfig) -> Spectrum:

@@ -15,7 +15,17 @@ from hypothesis import strategies as st
 
 from propeq.cli import main
 from propeq.equalizer import predict_blind_spots
-from propeq.harness import CSV_HEADER, MAX_RUNS, default_scenario, fp_grid, load_sweep_csv
+from propeq.harness import (
+    CSV_HEADER,
+    MAX_RUNS,
+    default_scenario,
+    fp_grid,
+    load_sweep_csv,
+    run_single,
+    scenario_from_dict,
+    scenario_with,
+    sweep_fp,
+)
 from propeq.signals import MAX_SAMPLES
 
 
@@ -494,17 +504,56 @@ def _scenarios(draw):
     }))
 
 
-@settings(max_examples=50, deadline=None)
-@given(config=_scenarios())
-def test_main_ends_every_drawn_config_in_an_exit_code(config):
-    """Every command ends in exit 0, 1 or 2; a failure prints one stderr line.
+# a finite phase, from 0 to the float limit
+_PHASE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALE = st.floats(0.2, 2.0)
 
-    A warning or an uncaught exception fails the test. The sweep's 2-rate x
-    2-seed grid takes the shared-series path. ``signals.MAX_SAMPLES`` bounds
-    the clock a command accepts; the drawn clocks stay at 12 800 samples or
-    fewer only to keep the test short. Nothing else about the drawn configs
-    is narrowed.
+
+@st.composite
+def _working(draw):
+    """A config in the ranges a working scenario takes, on which every command ends in exit 0.
+
+    Clocks of 1 Hz bins, composite and prime; one to three propellers at
+    1-100 Hz; gains, amplitudes, weights and tone levels away from 0 and the
+    float limit; noise from none to 0 dB SNR.
     """
+    n = draw(st.sampled_from([4000, 6400, 8000, 12800, 6401, 7919]))
+    square = st.tuples(st.floats(0.05, 0.95), st.lists(_SCALE, min_size=2, max_size=2).map(sorted))
+    shape = st.one_of(
+        square.map(lambda d: {"kind": "square", "duty": d[0], "lo": d[1][0], "hi": d[1][1]}),
+        st.fixed_dictionaries({"kind": st.just("sine"),
+                               "beta": st.floats(0.0, 0.9, exclude_max=True)}),
+        st.fixed_dictionaries({"kind": st.just("custom"),
+                               "gains": st.lists(_SCALE, min_size=1, max_size=4)}),
+    )
+    return draw(st.fixed_dictionaries({
+        "clock": st.just({"rate_hz": float(n), "n_samples": n}),
+        "ils": st.fixed_dictionaries({
+            "a_c": st.floats(0.1, 2.0), "a_90": st.floats(0.0, 1.0), "a_150": st.floats(0.0, 1.0),
+            "phase_90": _PHASE, "phase_150": _PHASE}),
+        "tone": st.fixed_dictionaries({"amp": st.floats(0.05, 2.0), "phase": _PHASE}),
+        "channel": st.fixed_dictionaries({
+            "propellers": st.lists(st.fixed_dictionaries({
+                "shape": shape,
+                "f_p": st.floats(1.0, 100.0),
+                "phase": _PHASE,
+                "coeff": st.floats(0.1, 2.0),
+            }), min_size=1, max_size=3),
+            "snr_db": st.sampled_from([None, 0.0, 10.0, 20.0, 40.0]),
+        }),
+        "signal_half_width_hz": _HALF_WIDTH,
+        "tone_half_width_hz": _HALF_WIDTH,
+        "reg": st.fixed_dictionaries({"eps_rel": st.sampled_from([1e-12, 1e-3, 0.5])}),
+    }))
+
+
+def _every_command(config):
+    """(exit code, stderr) of each command on ``config``; a warning raises.
+
+    The commands are ``simulate``, a 2-rate x 2-seed ``sweep``, which takes
+    the shared-series path, ``blindspots`` and the three ``spectrum`` stages.
+    """
+    ended = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "drawn.json"
         path.write_text(json.dumps(config))
@@ -519,9 +568,46 @@ def test_main_ends_every_drawn_config_in_an_exit_code(config):
                     warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code = main([*command, "--config", str(path)])
-            assert code in (0, 1, 2)
-            if code:
-                assert err.getvalue().startswith("propeq: ") and err.getvalue().count("\n") == 1
+            ended.append((code, err.getvalue()))
+    return ended
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=st.one_of(_scenarios(), _working()))
+def test_main_ends_every_drawn_config_in_an_exit_code(config):
+    """Every command ends in exit 0, 1 or 2; a failure prints one stderr line.
+
+    A warning or an uncaught exception fails the test. Half the configs are
+    drawn from the extremes, half from the working ranges, so the commands
+    also run to their end. ``signals.MAX_SAMPLES`` bounds the clock a command
+    accepts; the drawn clocks stay at 12 800 samples or fewer only to keep
+    the test short. Nothing else about the drawn configs is narrowed.
+    """
+    for code, err in _every_command(config):
+        assert code in (0, 1, 2)
+        if code:
+            assert err.startswith("propeq: ") and err.count("\n") == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=_working())
+def test_main_ends_every_working_config_in_exit_0(config):
+    assert _every_command(config) == [(0, "")] * 6
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=_working(), f_p=st.floats(1.0, 99.0),
+       seeds=st.lists(st.integers(0, 2**32), min_size=2, max_size=2, unique=True))
+def test_a_shared_sweep_matches_each_runs_own_transforms(config, f_p, seeds):
+    # each run of a 2-rate x 2-seed sweep sums shared band series; run_single
+    # makes the run's own band IFFTs. They agree to the golden tables' 1e-12
+    cfg = scenario_from_dict(config)
+    sweep = sweep_fp(cfg, f_p, f_p + 1.0, 1.0, seeds=seeds)
+    assert len(sweep.results) == 4
+    for r in sweep.results:
+        one = run_single(scenario_with(cfg, f_p=r.f_p_hz, seed=r.seed))
+        assert abs(r.ddm_raw - one.ddm_raw) <= 1e-12
+        assert abs(r.ddm_eq - one.ddm_eq) <= 1e-12
 
 
 # prime clocks: each band IFFT is one full-length transform, the slowest case

@@ -33,7 +33,7 @@ def _bench(tmp_path, monkeypatch, workloads=("first",), diff=""):
     ``tmp_path / "bb"`` or ``tmp_path / "hh"``.
     """
     bench = _load()
-    metrics = [{"name": "wall_s", "unit": "s", "better": "lower"},
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
                {"name": "runs_per_s", "unit": "runs/s", "better": "higher"}]
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 1, "workloads": [{"name": w} for w in workloads], "end_to_end": metrics}))
@@ -149,6 +149,7 @@ def test_bench_script_times_fresh_simulate_processes(tmp_path, monkeypatch):
         assert cold[side]["q1"] <= cold[side]["median"] <= cold[side]["q3"]
     assert cold["unit"] == "s" and sum(cold["wins"].values()) <= 3
     assert "pythondontwritebytecode" not in cold
+    assert "resolved" not in cold  # it has no bound
 
 
 def test_bench_script_children_run_without_pythondontwritebytecode(tmp_path, monkeypatch):
@@ -262,7 +263,27 @@ def test_abpair_runs_both_sides_of_a_pair_on_one_seed_in_a_drawn_order(tmp_path,
     assert wall["wins"] == {"base": 0, "head": 6} == metrics["runs_per_s"]["wins"]
     assert wall["head"]["runs"] == [1.0] * 6 and wall["base"]["median"] == 2.0
     assert wall["sign_test_p"] == 2 / 2**6
+    # only wall_s has a bound, and the head beats every base run of it
+    assert wall["resolved"] is True and "resolved" not in metrics["runs_per_s"]
     assert (ab["base"], ab["head"], ab["cpu_model"], ab["seconds"]) == ("bb", "hh", "cpu", 1)
+
+
+@pytest.mark.parametrize("better, base, head, resolved", [
+    # the base spreads by q3 - q1 = 0.5 about a median of 1.0, twice the 0.25 bound
+    ("lower", [0.5, 0.75, 1.0, 1.25, 1.5], [0.9, 1.0, 1.1, 1.2, 1.3], False),
+    ("higher", [0.5, 0.75, 1.0, 1.25, 1.5], [0.9, 1.0, 1.1, 1.2, 1.3], False),
+    # just as wide, yet every head run beats every base run
+    ("lower", [0.5, 0.75, 1.0, 1.25, 1.5], [0.1, 0.2, 0.3, 0.4, 0.45], True),
+    ("higher", [0.5, 0.75, 1.0, 1.25, 1.5], [1.6, 2.0, 2.5, 3.0, 3.5], True),
+    # a spread of 0.1 about 1.0 resolves the bound, whichever side wins
+    ("lower", [0.9, 0.95, 1.0, 1.05, 1.1], [1.2, 1.3, 1.4, 1.5, 1.6], True),
+    ("higher", [0.9, 0.95, 1.0, 1.05, 1.1], [1.0, 1.0, 1.0, 1.0, 1.0], True),
+])
+def test_bench_script_marks_a_metric_its_spread_cannot_resolve(better, base, head, resolved):
+    bench = runpy.run_path(str(SCRIPTS / "bench.py"))
+    got = bench["compare"]({"base": base, "head": head}, better, 0.25)
+    assert got["resolved"] is resolved
+    assert "resolved" not in bench["compare"]({"base": base, "head": head}, better)
 
 
 @pytest.mark.parametrize("wins, losses, p", [
