@@ -24,12 +24,12 @@ side's per-pair values with their median and quartiles, how many pairs each
 side won (ties apart) and the two-sided sign-test p-value of those wins; for
 a metric with a ``bound``, whether the pairs resolve a change of that size
 (``resolved``, see ``compare``); per workload each side's attempted and
-failed operations; and both commits, the
-pairs' seeds and orders, and the numpy version, core count and CPU model. A
-run that fails, times out, prints no JSON result or whose result is not
-``correct`` ends the script with exit 1 in one line, before any file is
-written; so does a failed cold process. A claim reads its pairs: the parent
-side of its own BENCH file is its baseline.
+failed operations; and both commits, the pairs' seeds and orders, and the
+numpy version, core count and CPU model. A run that fails, times out,
+prints no JSON result or whose result is not ``correct`` ends the script
+with exit 1 in one line, before any file is written; so does a failed cold
+process. A claim reads its pairs: the parent side of its own BENCH file is
+its baseline.
 """
 
 from __future__ import annotations
