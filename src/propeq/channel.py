@@ -38,7 +38,7 @@ class SquareWave:
             raise ValueError(f"duty must be in (0, 1), got {self.duty}")
         if not 0.0 < self.lo <= self.hi:
             raise ValueError(f"need 0 < lo <= hi, got lo={self.lo} hi={self.hi}")
-        check_finite_fields(self, "lo", "hi")
+        check_finite_fields(self)
 
     def cycle_gain(self, frac: np.ndarray) -> np.ndarray:
         # left-closed: frac == 0 is the low level, frac == duty the high one
@@ -120,7 +120,7 @@ class PropellerModel:
             raise ValueError(f"f_p must be > 0, got {self.f_p}")
         if not self.coeff > 0:
             raise ValueError(f"coeff must be > 0, got {self.coeff}")
-        check_finite_fields(self, "f_p", "phase", "coeff")
+        check_finite_fields(self)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import functools
 import sys
 
 from .channel import eval_modulator
-from .equalizer import BLIND_SPOT_THRESHOLD, critical_twiddles, flag_blind_spots
+from .equalizer import BLIND_SPOT_THRESHOLD, FLAG_FREQS, flag_blind_spots
 from .errors import PipelineError
 from .harness import (
     ScenarioConfig,
@@ -28,7 +28,7 @@ from .harness import (
     sweep_fp,
 )
 from .pipeline import STAGES, stage_spectrum
-from .spectral import dft_bins
+from .spectral import dft_bins, dft_twiddles
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,34 +48,32 @@ def _build_parser() -> _Parser:
         description="Reference-tone equalization of propeller-modulated ILS captures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags that commands share: every command's first, then a sweep grid's
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON scenario config (defaults used if omitted)")
+    grid = argparse.ArgumentParser(add_help=False, parents=[config])
+    grid.add_argument("--fp-start", type=float, default=15.0)
+    grid.add_argument("--fp-stop", type=float, default=40.0)
+    grid.add_argument("--fp-step", type=float, default=0.5)
 
-    sim = sub.add_parser("simulate", parents=[], help="run one scenario")
-    sim.add_argument("--config", help="JSON scenario config (defaults used if omitted)")
+    sim = sub.add_parser("simulate", parents=[config], help="run one scenario")
     sim.add_argument("--fp", type=float, help="override propeller rate in Hz")
     sim.add_argument("--seed", type=int, help="override channel noise seed")
     sim.add_argument("--snr-db", type=float, help="override channel SNR in dB")
     sim.add_argument("--out", help="write the run as CSV to this path")
 
-    sw = sub.add_parser("sweep", help="propeller-rate sweep with Monte-Carlo seeds")
-    sw.add_argument("--config", help="JSON scenario config (defaults used if omitted)")
-    sw.add_argument("--fp-start", type=float, default=15.0)
-    sw.add_argument("--fp-stop", type=float, default=40.0)
-    sw.add_argument("--fp-step", type=float, default=0.5)
+    sw = sub.add_parser("sweep", parents=[grid], help="propeller-rate sweep with Monte-Carlo seeds")
     sw.add_argument("--seeds", type=int, default=10, help="number of seeds (0..n-1)")
     sw.add_argument("--snr-db", type=float, help="override channel SNR in dB")
     sw.add_argument("--out", required=True, help="CSV output path")
     sw.add_argument("--plot", help="optional SVG chart output path")
     sw.add_argument("--workers", type=int, default=1, help="parallel grid workers")
 
-    bs = sub.add_parser("blindspots", help="scan the grid for equalization blind spots")
-    bs.add_argument("--config", help="JSON scenario config (defaults used if omitted)")
+    bs = sub.add_parser(
+        "blindspots", parents=[grid], help="scan the grid for equalization blind spots")
     bs.add_argument("--threshold", type=float, default=BLIND_SPOT_THRESHOLD)
-    bs.add_argument("--fp-start", type=float, default=15.0)
-    bs.add_argument("--fp-stop", type=float, default=40.0)
-    bs.add_argument("--fp-step", type=float, default=0.5)
 
-    sp = sub.add_parser("spectrum", help="dump a pipeline-stage spectrum as CSV")
-    sp.add_argument("--config", help="JSON scenario config (defaults used if omitted)")
+    sp = sub.add_parser("spectrum", parents=[config], help="dump a pipeline-stage spectrum as CSV")
     sp.add_argument("--stage", choices=STAGES, required=True)
     sp.add_argument("--fp", type=float, help="override propeller rate in Hz")
     sp.add_argument("--seed", type=int, help="override channel noise seed")
@@ -103,6 +101,13 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     return scenario_with(cfg, **overrides) if overrides else cfg
 
 
+def _flag_note(lead: str, flagged: tuple[float, ...]) -> str:
+    """``lead`` with the flagged frequencies in its ``{}``, then the warning; "" if none."""
+    if not flagged:
+        return ""
+    return lead.format(", ".join(f"{f:g} Hz" for f in flagged)) + "; equalization may underperform"
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
     sim = simulate(cfg)
@@ -110,10 +115,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"f_p = {result.f_p_hz:g} Hz, seed = {result.seed}")
     print(f"ddm_raw = {result.ddm_raw:+.6f}  (dev {result.dev_raw:.3e})")
     print(f"ddm_eq  = {result.ddm_eq:+.6f}  (dev {result.dev_eq:.3e})")
-    flagged = sim.summaries[0].flagged_freqs
-    if flagged:
-        freqs = ", ".join(f"{f:g} Hz" for f in flagged)
-        print(f"note: modulator has components at {freqs}; equalization may underperform")
+    if note := _flag_note("note: modulator has components at {}", sim.summaries[0].flagged_freqs):
+        print(note)
     if args.out:
         emit_csv(sim, args.out)
     return 0
@@ -139,10 +142,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"wrote plot to {args.plot}")
     print(f"{'f_p (Hz)':>9} {'med dev raw':>12} {'med dev eq':>12}  note")
     for s in sweep.summaries:
-        note = ""
-        if s.flagged_freqs:
-            freqs = ", ".join(f"{f:g} Hz" for f in s.flagged_freqs)
-            note = f"blind spot (modulator component at {freqs}); equalization may underperform"
+        note = _flag_note("blind spot (modulator component at {})", s.flagged_freqs)
         print(f"{s.f_p_hz:9g} {s.median_dev_raw:12.3e} {s.median_dev_eq:12.3e}  {note}".rstrip())
     return 0
 
@@ -152,14 +152,13 @@ def _cmd_blindspots(args: argparse.Namespace) -> int:
     if not args.threshold > 0:
         raise ValueError(f"--threshold must be > 0, got {args.threshold}")
     any_flagged = False
-    twiddles = critical_twiddles(cfg.clock)
+    twiddles = dft_twiddles(cfg.clock, FLAG_FREQS)
     for fp in fp_grid(args.fp_start, args.fp_stop, args.fp_step, cfg.clock):
         m = eval_modulator(cfg.channel.with_rate(fp), cfg.clock)
         flagged = flag_blind_spots(dft_bins(twiddles, m), rel_threshold=args.threshold)
         if flagged:
             any_flagged = True
-            freqs = ", ".join(f"{f:g} Hz" for f in flagged)
-            print(f"f_p = {fp:g} Hz: blind spot at {freqs}; equalization may underperform")
+            print(_flag_note(f"f_p = {fp:g} Hz: blind spot at {{}}", flagged))
     if not any_flagged:
         print("no blind spots flagged on the scanned grid")
     return 0

@@ -19,6 +19,8 @@ from .signals import SampleClock, check_finite
 from .spectral import dft_bins, dft_twiddles
 
 CRITICAL_FREQS = (90.0, 150.0)
+# the modulator bins a blind-spot flag reads: 0 Hz, the level it compares with, then CRITICAL_FREQS
+FLAG_FREQS = (0.0, *CRITICAL_FREQS)
 # a critical frequency is flagged when its modulator bin exceeds this fraction of the DC bin
 BLIND_SPOT_THRESHOLD = 0.01
 
@@ -76,18 +78,12 @@ def regularized_divide(
     return out
 
 
-def critical_twiddles(clock: SampleClock) -> tuple[np.ndarray, ...]:
-    """The DFT twiddles ``flag_blind_spots`` reads: 0 Hz, then ``CRITICAL_FREQS``."""
-    return dft_twiddles(clock, (0.0, *CRITICAL_FREQS))
-
-
 def flag_blind_spots(
     bins: np.ndarray, rel_threshold: float = BLIND_SPOT_THRESHOLD
 ) -> tuple[float, ...]:
     """Critical frequencies f with |G(f)| > rel_threshold * |G(0)|.
 
-    ``bins`` holds G, the DFT of the modulator samples, at 0 Hz and then at
-    ``CRITICAL_FREQS``.
+    ``bins`` holds G, the DFT of the modulator samples, at ``FLAG_FREQS``.
     """
     if not rel_threshold > 0:
         raise ValueError(f"rel_threshold must be > 0, got {rel_threshold}")
@@ -105,5 +101,5 @@ def predict_blind_spots(
     energy at f into every signal component, so equalization can interfere
     with the very tones it is meant to protect.
     """
-    bins = dft_bins(critical_twiddles(clock), eval_modulator(cfg, clock))
+    bins = dft_bins(dft_twiddles(clock, FLAG_FREQS), eval_modulator(cfg, clock))
     return flag_blind_spots(bins, rel_threshold)

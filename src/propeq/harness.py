@@ -11,13 +11,12 @@ All three hand their rates and seeds to ``pipeline.sweep``, which returns the
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +34,7 @@ from .channel import (
 from .equalizer import RegPolicy
 from .metrics import DDM_FREQS
 from .pipeline import FpSummary, RunResult, SweepResult  # FpSummary: re-exported
-from .signals import IlsParams, SampleClock, ToneParams
+from .signals import IlsParams, SampleClock, ToneParams, check_finite_fields, fields_of
 from .spectral import BandSpec, Spectrum, bin_index, check_band, folded_frequencies
 
 # The default propeller is the class defaults but for its phase, which aligns
@@ -65,6 +64,7 @@ class ScenarioConfig:
         for name in ("signal_half_width_hz", "tone_half_width_hz"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        check_finite_fields(self)
         if self.signal_band.overlaps(self.tone_band):
             raise ValueError("signal_band and tone_band must be disjoint")
         # tone separation must exceed twice the modulation spread the bands admit
@@ -97,7 +97,7 @@ def default_scenario() -> ScenarioConfig:
     return ScenarioConfig()
 
 
-CSV_HEADER = ",".join(f.name for f in fields(RunResult))
+CSV_HEADER = ",".join(name for name, _, _ in fields_of(RunResult))
 
 
 def scenario_with(
@@ -193,7 +193,7 @@ def emit_csv(result: SweepResult, path: str | Path) -> None:
     """Write ``CSV_HEADER``, then one row per run, each value as its ``repr``."""
     lines = [CSV_HEADER]
     for r in result.results:
-        lines.append(",".join(repr(getattr(r, name)) for name, _, _ in _fields(RunResult)))
+        lines.append(",".join(repr(getattr(r, name)) for name, _, _ in fields_of(RunResult)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -205,7 +205,7 @@ def load_sweep_csv(path: str | Path) -> tuple[RunResult, ...]:
         header = next(reader)
         if ",".join(header) != CSV_HEADER:
             raise ValueError(f"unexpected CSV header in {path}: {header}")
-        spec = _fields(RunResult)
+        spec = fields_of(RunResult)
         return tuple(
             RunResult(*(tp(v) for (_, tp, _), v in zip(spec, row, strict=True)))
             for row in reader
@@ -230,6 +230,15 @@ def dump_spectrum(spec: Spectrum, path: str | Path) -> None:
             mag_db = 20.0 * np.log10(np.hypot(block.real, block.imag) + 1e-20)
             rows = np.column_stack((freqs[lo : lo + _DUMP_ROWS], block.real, block.imag, mag_db))
             fh.write(("%r,%r,%r,%r\n" * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+# (legend label, colour, dash pattern) of the chart's series: the raw and the
+# equalized medians, drawn solid, then the dashed blind-spot markers
+_SERIES = (
+    ("raw (non-equalized)", "#1f77b4", None),
+    ("equalized", "#d62728", None),
+    ("blind-spot flag", "#bbbbbb", "4,3"),
+)
 
 
 def emit_plot(result: SweepResult, path: str | Path) -> None:
@@ -260,6 +269,13 @@ def emit_plot(result: SweepResult, path: str | Path) -> None:
 
     def poly(ys: list[float]) -> str:
         return " ".join(f"{sx(fp):.2f},{sy(v):.2f}" for fp, v in zip(fps, ys))
+
+    strokes = [
+        f'stroke="{colour}" stroke-width="1.6"' if dash is None
+        else f'stroke="{colour}" stroke-width="1" stroke-dasharray="{dash}"'
+        for _, colour, dash in _SERIES
+    ]
+    *curve_strokes, dashed = strokes
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -298,20 +314,13 @@ def emit_plot(result: SweepResult, path: str | Path) -> None:
     for s in result.summaries:
         if s.flagged_freqs:
             x = sx(s.f_p_hz)
-            parts.append(
-                f'<line x1="{x:.2f}" y1="{mt}" x2="{x:.2f}" y2="{mt + ph}" '
-                f'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4,3"/>'
-            )
+            parts.append(f'<line x1="{x:.2f}" y1="{mt}" x2="{x:.2f}" y2="{mt + ph}" {dashed}/>')
     parts.append(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="black" stroke-width="1"/>'
     )
-    parts.append(
-        f'<polyline points="{poly(raw)}" fill="none" stroke="#1f77b4" stroke-width="1.6"/>'
-    )
-    parts.append(
-        f'<polyline points="{poly(eq)}" fill="none" stroke="#d62728" stroke-width="1.6"/>'
-    )
+    for ys, stroke in zip((raw, eq), curve_strokes):
+        parts.append(f'<polyline points="{poly(ys)}" fill="none" {stroke}/>')
     parts.append(
         f'<text x="{ml + pw / 2:.0f}" y="{h - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">propeller rate f_p (Hz)</text>'
@@ -321,26 +330,14 @@ def emit_plot(result: SweepResult, path: str | Path) -> None:
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {mt + ph / 2:.0f})">median |DDM - truth|</text>'
     )
-    lx, ly = ml + pw - 235, mt + 14
-    parts.append(
-        f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" stroke="#1f77b4" stroke-width="1.6"/>'
-    )
-    parts.append(
-        f'<text x="{lx + 32}" y="{ly + 4}" font-family="sans-serif" font-size="12">raw (non-equalized)</text>'
-    )
-    parts.append(
-        f'<line x1="{lx}" y1="{ly + 18}" x2="{lx + 26}" y2="{ly + 18}" stroke="#d62728" stroke-width="1.6"/>'
-    )
-    parts.append(
-        f'<text x="{lx + 32}" y="{ly + 22}" font-family="sans-serif" font-size="12">equalized</text>'
-    )
-    parts.append(
-        f'<line x1="{lx}" y1="{ly + 36}" x2="{lx + 26}" y2="{ly + 36}" '
-        f'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4,3"/>'
-    )
-    parts.append(
-        f'<text x="{lx + 32}" y="{ly + 40}" font-family="sans-serif" font-size="12">blind-spot flag</text>'
-    )
+    lx = ml + pw - 235
+    for i, ((label, _, _), stroke) in enumerate(zip(_SERIES, strokes)):
+        ly = mt + 14 + 18 * i
+        parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" {stroke}/>')
+        parts.append(
+            f'<text x="{lx + 32}" y="{ly + 4}" font-family="sans-serif" '
+            f'font-size="12">{label}</text>'
+        )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
@@ -352,16 +349,6 @@ def emit_plot(result: SweepResult, path: str | Path) -> None:
 
 _SHAPE_KINDS = {"square": SquareWave, "sine": SineRipple, "custom": CustomCycle}
 _KIND_OF = {cls: kind for kind, cls in _SHAPE_KINDS.items()}
-
-
-@functools.cache
-def _fields(cls: type) -> tuple[tuple[str, object, object], ...]:
-    """(name, resolved type, class default or MISSING) of each field of ``cls``."""
-    hints = typing.get_type_hints(cls)
-    return tuple(
-        (f.name, hints[f.name], f.default if f.default_factory is MISSING else f.default_factory())
-        for f in fields(cls)
-    )
 
 
 def _decode(value: object, tp: object, path: str, base: object = None) -> object:
@@ -393,7 +380,7 @@ def _decode(value: object, tp: object, path: str, base: object = None) -> object
         return tuple(_decode(v, item, f"{path}[{i}]") for i, v in enumerate(value))
     if not isinstance(value, dict):
         raise ValueError(f"{path or 'scenario'} must be a JSON object, got {type(value).__name__}")
-    spec = _fields(tp)
+    spec = fields_of(tp)
     unknown = sorted(f"{path}.{k}" if path else str(k) for k in set(value) - {f[0] for f in spec})
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
@@ -416,7 +403,7 @@ def _decode(value: object, tp: object, path: str, base: object = None) -> object
 def _encode(obj: object) -> object:
     if is_dataclass(obj):
         kind = {"kind": _KIND_OF[type(obj)]} if type(obj) in _KIND_OF else {}
-        return kind | {name: _encode(getattr(obj, name)) for name, _, _ in _fields(type(obj))}
+        return kind | {name: _encode(getattr(obj, name)) for name, _, _ in fields_of(type(obj))}
     return [_encode(v) for v in obj] if isinstance(obj, tuple) else obj
 
 

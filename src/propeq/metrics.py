@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierLostError
+from .signals import check_finite_fields, fields_of
 
 _CARRIER_FLOOR = 1e-12
 
@@ -31,10 +32,10 @@ class ToneAmplitudes:
     a_150: float
 
     def __post_init__(self) -> None:
-        for name in ("a_c", "a_90", "a_150"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        for name, _, _ in fields_of(type(self)):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_finite_fields(self)
 
 
 def amplitudes_from_bins(bins: np.ndarray, n: int) -> ToneAmplitudes:

@@ -69,7 +69,7 @@ from .channel import (
     power_noise_scale,
     unit_noise,
 )
-from .equalizer import CRITICAL_FREQS, flag_blind_spots, regularized_divide
+from .equalizer import FLAG_FREQS, flag_blind_spots, regularized_divide
 from .errors import ToneAbsentError
 from .metrics import DDM_FREQS, amplitudes_from_bins, compute_ddm
 from .signals import SampleBuffer, SampleClock, check_finite
@@ -191,6 +191,14 @@ def _line_sum(lines: list[tuple[int, complex]], spec: np.ndarray, start: int, wi
     return bins
 
 
+def _noise_spectrum(seed: int, n: int) -> np.ndarray:
+    """W, the FFT of the seed's unit noise, as every run and the ``rx`` dump add it."""
+    # unit noise is finite, and so is its spectrum: nothing to check. The
+    # transform overwrites the draws, so no second capture-length array is made
+    spec = unit_noise(seed, n)
+    return np.fft.fft(spec, out=spec)
+
+
 def _abs_square(x: np.ndarray) -> np.ndarray:
     """|x|^2, as np.abs(x) ** 2 gives it bit for bit, in one fresh array, not two."""
     sq = np.abs(x)
@@ -231,8 +239,7 @@ class Pipeline:
         pos = [(k - n if k > n // 2 else k) - signal[0] for k in ddm]
         self._ddm_pos = [j if 0 <= j < len(signal) else len(signal) for j in pos]
         self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
-        # the bins of M the blind-spot flags read: 0 Hz, then CRITICAL_FREQS
-        self._critical_idx = [bin_index(clock, f) for f in (0.0, *CRITICAL_FREQS)]
+        self._flag_idx = [bin_index(clock, f) for f in FLAG_FREQS]
         if cfg.channel.snr_db is None:  # one read-only zero noise stage serves every seed
             self._zero_noise = Noise(*(np.broadcast_to(0j, len(b)) for b in (signal, tone)), 0.0)
 
@@ -250,7 +257,7 @@ class Pipeline:
             signal=signal,
             tone=tone,
             norm=self.cfg.clock.n_samples * np.sqrt(power),  # Parseval
-            flags=flag_blind_spots(spec[self._critical_idx]),
+            flags=flag_blind_spots(spec[self._flag_idx]),
         )
 
     def noise(self, seed: int) -> Noise:
@@ -258,10 +265,7 @@ class Pipeline:
         check_seed(seed)
         if self.cfg.channel.snr_db is None:
             return self._zero_noise
-        # unit noise is finite, and so is its spectrum: nothing to check. The
-        # transform overwrites the draws, so no second capture-length array is made
-        spec = unit_noise(seed, self.cfg.clock.n_samples)
-        np.fft.fft(spec, out=spec)
+        spec = _noise_spectrum(seed, self.cfg.clock.n_samples)
         return Noise(spec[self._signal_idx], spec[self._tone_idx], _norm(spec))
 
     def series(self, signal: np.ndarray, tone: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -482,8 +486,7 @@ def rx_spectrum(cfg: ScenarioConfig) -> Spectrum:
     bins = _line_sum(lines, spec, 0, n)
     del spec  # the noise does not need it, and a long capture's peak memory is lower
     if snr_db is not None:
-        noise = unit_noise(cfg.channel.rng_seed, n)
-        np.fft.fft(noise, out=noise)
+        noise = _noise_spectrum(cfg.channel.rng_seed, n)
         with np.errstate(over="ignore", invalid="ignore"):
             noise *= power_noise_scale(power, snr_db)
             bins += noise

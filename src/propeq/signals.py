@@ -9,9 +9,11 @@ The engine (``pipeline``) builds the transmit from them as six spectral lines.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -63,10 +65,20 @@ def check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def check_finite_fields(obj: object, *names: str) -> None:
-    """Reject an object whose named number fields are not all finite."""
-    for name in names:
-        if not math.isfinite(getattr(obj, name)):
+@functools.cache
+def fields_of(cls: type) -> tuple[tuple[str, object, object], ...]:
+    """(name, resolved type, class default or MISSING) of each field of the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default if f.default_factory is MISSING else f.default_factory())
+        for f in fields(cls)
+    )
+
+
+def check_finite_fields(obj: object) -> None:
+    """Reject a dataclass instance whose fields of type ``float`` are not all finite."""
+    for name, tp, _ in fields_of(type(obj)):
+        if tp is float and not math.isfinite(getattr(obj, name)):
             raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
 
 
@@ -115,7 +127,7 @@ class IlsParams:
             raise ValueError(f"a_c must be > 0, got {self.a_c}")
         if self.a_90 < 0 or self.a_150 < 0:
             raise ValueError("tone amplitudes must be >= 0")
-        check_finite_fields(self, "a_c", "a_90", "a_150", "phase_90", "phase_150")
+        check_finite_fields(self)
 
     @property
     def ddm(self) -> float:
@@ -144,4 +156,4 @@ class ToneParams:
             raise ValueError(
                 f"offset_hz must be >= 300 to separate tone and signal, got {self.offset_hz}"
             )
-        check_finite_fields(self, "amp", "phase")
+        check_finite_fields(self)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SampleBuffer, SampleClock, freeze_capture
+from .signals import SampleBuffer, SampleClock, check_finite_fields, freeze_capture
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class BandSpec:
     def __post_init__(self) -> None:
         if not self.half_width_hz > 0:
             raise ValueError(f"half_width_hz must be > 0, got {self.half_width_hz}")
+        check_finite_fields(self)
 
     @property
     def lo_hz(self) -> float:

@@ -1,4 +1,7 @@
 import math
+import re
+import typing
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
@@ -6,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propeq import (
+    BandSpec,
     ChannelConfig,
     CustomCycle,
     IlsParams,
     PropellerModel,
+    RegPolicy,
     ScenarioConfig,
     SampleClock,
     SineRipple,
     SquareWave,
+    ToneAmplitudes,
     ToneParams,
     bin_index,
     eval_modulator,
@@ -22,6 +28,7 @@ from propeq import (
 )
 from propeq.channel import _cycle_frac, unit_noise
 from propeq.pipeline import rx_spectrum
+from propeq.signals import fields_of
 
 import oracles
 from oracles import square_cycle_coeff, times
@@ -117,27 +124,75 @@ def test_square_validation(shape_kwargs):
 
 _INF, _NAN = float("inf"), float("nan")
 
+# what a float field with no default is given, so the class can be built
+_REQUIRED = {
+    PropellerModel: {"shape": SquareWave()},
+    BandSpec: {"center_hz": 0.0},
+    ToneAmplitudes: {"a_c": 1.0, "a_90": 0.6, "a_150": 0.8},
+}
+# a range check runs before the finite check, so a non-finite value that it
+# rejects keeps the range check's message: (values it rejects, message with {})
+_RANGE_FIRST = {
+    (SampleClock, "rate_hz"): (("nan", "inf", "-inf"), "rate_hz must be finite and > 0, got {}"),
+    (IlsParams, "a_c"): (("nan", "-inf"), "a_c must be > 0, got {}"),
+    (IlsParams, "a_90"): (("-inf",), "tone amplitudes must be >= 0"),
+    (IlsParams, "a_150"): (("-inf",), "tone amplitudes must be >= 0"),
+    (ToneParams, "offset_hz"): (
+        ("nan", "-inf"), "offset_hz must be >= 300 to separate tone and signal, got {}"),
+    (ToneParams, "amp"): (("nan", "-inf"), "amp must be a normal float > 0, got {}"),
+    (SquareWave, "duty"): (("nan", "inf", "-inf"), "duty must be in (0, 1), got {}"),
+    (SquareWave, "lo"): (("nan", "inf", "-inf"), "need 0 < lo <= hi, got lo={} hi=1.0"),
+    (SquareWave, "hi"): (("nan", "-inf"), "need 0 < lo <= hi, got lo=0.5 hi={}"),
+    (SineRipple, "beta"): (("nan", "inf", "-inf"), "beta must be in [0, 1), got {}"),
+    (PropellerModel, "f_p"): (("nan", "-inf"), "f_p must be > 0, got {}"),
+    (PropellerModel, "coeff"): (("nan", "-inf"), "coeff must be > 0, got {}"),
+    (RegPolicy, "eps_rel"): (("nan", "inf", "-inf"), "eps_rel must be in (0, 1), got {}"),
+    (ScenarioConfig, "signal_half_width_hz"): (
+        ("nan", "-inf"), "signal_half_width_hz must be > 0, got {}"),
+    (ScenarioConfig, "tone_half_width_hz"): (
+        ("nan", "-inf"), "tone_half_width_hz must be > 0, got {}"),
+    (BandSpec, "half_width_hz"): (("nan", "-inf"), "half_width_hz must be > 0, got {}"),
+    (ToneAmplitudes, "a_c"): (("-inf",), "a_c must be >= 0, got {}"),
+    (ToneAmplitudes, "a_90"): (("-inf",), "a_90 must be >= 0, got {}"),
+    (ToneAmplitudes, "a_150"): (("-inf",), "a_150 must be >= 0, got {}"),
+}
+
+
+def _dataclasses_in(tp):
+    """The dataclasses a field of type ``tp`` may hold, at any depth, ``tp`` first."""
+    if is_dataclass(tp):
+        yield tp
+        for _, hint, _ in fields_of(tp):
+            yield from _dataclasses_in(hint)
+    for arg in typing.get_args(tp):
+        yield from _dataclasses_in(arg)
+
+
+def _non_finite_cases():
+    """(build, message): each float field of each scenario dataclass given NaN, +inf and -inf."""
+    for cls in dict.fromkeys([*_dataclasses_in(ScenarioConfig), BandSpec, ToneAmplitudes]):
+        for name, tp, _ in fields_of(cls):
+            if tp is not float:
+                continue
+            for value in (_NAN, _INF, -_INF):
+                claimed, message = _RANGE_FIRST.get((cls, name), ((), ""))
+                if repr(value) not in claimed:
+                    message = f"{name} must be finite, got {{}}"
+                kwargs = {**_REQUIRED.get(cls, {}), name: value}
+                yield (lambda cls=cls, kwargs=kwargs: cls(**kwargs)), message.format(value)
+
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: PropellerModel(SquareWave(), phase=_NAN), "phase must be finite, got nan"),
-        (lambda: PropellerModel(SquareWave(), phase=-_INF), "phase must be finite, got -inf"),
-        (lambda: PropellerModel(SquareWave(), f_p=_INF), "f_p must be finite, got inf"),
-        (lambda: PropellerModel(SquareWave(), coeff=_INF), "coeff must be finite, got inf"),
-        (lambda: SquareWave(hi=_INF), "hi must be finite, got inf"),
-        (lambda: IlsParams(a_90=_NAN), "a_90 must be finite, got nan"),
-        (lambda: IlsParams(a_c=_INF), "a_c must be finite, got inf"),
-        (lambda: IlsParams(phase_150=_NAN), "phase_150 must be finite, got nan"),
-        (lambda: ToneParams(amp=_INF), "amp must be finite, got inf"),
-        (lambda: ToneParams(phase=_NAN), "phase must be finite, got nan"),
+        *_non_finite_cases(),
         # each coefficient is finite, but their sum is not
         (lambda: ChannelConfig((PropellerModel(SquareWave(), coeff=1e308),) * 2),
          "propeller coefficients must have a finite sum, got inf"),
     ],
 )
 def test_constructors_reject_non_finite_numbers(build, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
 

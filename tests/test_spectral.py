@@ -344,8 +344,3 @@ def test_band_offsets_are_the_bins_of_the_band_definition(case):
     assert np.all(np.diff(got) == 1)
     assert len(got) == 0 or -n / 2 < got[0] <= got[-1] <= n / 2
     assert np.array_equal(np.sort(got % n), want)
-
-
-def test_a_band_with_no_centre_is_outside_nyquist(clock):
-    with pytest.raises(ValueError, match="Nyquist"):
-        band_offsets(clock, BandSpec(float("nan"), 300.0))
