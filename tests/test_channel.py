@@ -124,7 +124,7 @@ def test_square_validation(shape_kwargs):
 
 _INF, _NAN = float("inf"), float("nan")
 
-# what a float field with no default is given, so the class can be built
+# the fields that have no default, given values so that each class can be built
 _REQUIRED = {
     PropellerModel: {"shape": SquareWave()},
     BandSpec: {"center_hz": 0.0},
