@@ -48,32 +48,34 @@ def _build_parser() -> _Parser:
         description="Reference-tone equalization of propeller-modulated ILS captures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the flags that commands share: every command's first, then a sweep grid's
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", help="JSON scenario config (defaults used if omitted)")
-    grid = argparse.ArgumentParser(add_help=False, parents=[config])
-    grid.add_argument("--fp-start", type=float, default=15.0)
-    grid.add_argument("--fp-stop", type=float, default=40.0)
-    grid.add_argument("--fp-step", type=float, default=0.5)
 
-    sim = sub.add_parser("simulate", parents=[config], help="run one scenario")
+    sim = sub.add_parser("simulate", parents=[], help="run one scenario")
+    sim.add_argument("--config", help="JSON scenario config (defaults used if omitted)")
     sim.add_argument("--fp", type=float, help="override propeller rate in Hz")
     sim.add_argument("--seed", type=int, help="override channel noise seed")
     sim.add_argument("--snr-db", type=float, help="override channel SNR in dB")
     sim.add_argument("--out", help="write the run as CSV to this path")
 
-    sw = sub.add_parser("sweep", parents=[grid], help="propeller-rate sweep with Monte-Carlo seeds")
+    sw = sub.add_parser("sweep", help="propeller-rate sweep with Monte-Carlo seeds")
+    sw.add_argument("--config", help="JSON scenario config (defaults used if omitted)")
+    sw.add_argument("--fp-start", type=float, default=15.0)
+    sw.add_argument("--fp-stop", type=float, default=40.0)
+    sw.add_argument("--fp-step", type=float, default=0.5)
     sw.add_argument("--seeds", type=int, default=10, help="number of seeds (0..n-1)")
     sw.add_argument("--snr-db", type=float, help="override channel SNR in dB")
     sw.add_argument("--out", required=True, help="CSV output path")
     sw.add_argument("--plot", help="optional SVG chart output path")
     sw.add_argument("--workers", type=int, default=1, help="parallel grid workers")
 
-    bs = sub.add_parser(
-        "blindspots", parents=[grid], help="scan the grid for equalization blind spots")
+    bs = sub.add_parser("blindspots", help="scan the grid for equalization blind spots")
+    bs.add_argument("--config", help="JSON scenario config (defaults used if omitted)")
     bs.add_argument("--threshold", type=float, default=BLIND_SPOT_THRESHOLD)
+    bs.add_argument("--fp-start", type=float, default=15.0)
+    bs.add_argument("--fp-stop", type=float, default=40.0)
+    bs.add_argument("--fp-step", type=float, default=0.5)
 
-    sp = sub.add_parser("spectrum", parents=[config], help="dump a pipeline-stage spectrum as CSV")
+    sp = sub.add_parser("spectrum", help="dump a pipeline-stage spectrum as CSV")
+    sp.add_argument("--config", help="JSON scenario config (defaults used if omitted)")
     sp.add_argument("--stage", choices=STAGES, required=True)
     sp.add_argument("--fp", type=float, help="override propeller rate in Hz")
     sp.add_argument("--seed", type=int, help="override channel noise seed")

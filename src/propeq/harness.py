@@ -232,12 +232,13 @@ def dump_spectrum(spec: Spectrum, path: str | Path) -> None:
             fh.write(("%r,%r,%r,%r\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-# (legend label, colour, dash pattern) of the chart's series: the raw and the
-# equalized medians, drawn solid, then the dashed blind-spot markers
+# (legend label, stroke) of the chart's series: the raw and the equalized
+# medians, then the blind-spot markers
+_FLAG_STROKE = 'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4,3"'
 _SERIES = (
-    ("raw (non-equalized)", "#1f77b4", None),
-    ("equalized", "#d62728", None),
-    ("blind-spot flag", "#bbbbbb", "4,3"),
+    ("raw (non-equalized)", 'stroke="#1f77b4" stroke-width="1.6"'),
+    ("equalized", 'stroke="#d62728" stroke-width="1.6"'),
+    ("blind-spot flag", _FLAG_STROKE),
 )
 
 
@@ -269,13 +270,6 @@ def emit_plot(result: SweepResult, path: str | Path) -> None:
 
     def poly(ys: list[float]) -> str:
         return " ".join(f"{sx(fp):.2f},{sy(v):.2f}" for fp, v in zip(fps, ys))
-
-    strokes = [
-        f'stroke="{colour}" stroke-width="1.6"' if dash is None
-        else f'stroke="{colour}" stroke-width="1" stroke-dasharray="{dash}"'
-        for _, colour, dash in _SERIES
-    ]
-    *curve_strokes, dashed = strokes
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -314,12 +308,12 @@ def emit_plot(result: SweepResult, path: str | Path) -> None:
     for s in result.summaries:
         if s.flagged_freqs:
             x = sx(s.f_p_hz)
-            parts.append(f'<line x1="{x:.2f}" y1="{mt}" x2="{x:.2f}" y2="{mt + ph}" {dashed}/>')
+            parts.append(f'<line x1="{x:.2f}" y1="{mt}" x2="{x:.2f}" y2="{mt + ph}" {_FLAG_STROKE}/>')
     parts.append(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="black" stroke-width="1"/>'
     )
-    for ys, stroke in zip((raw, eq), curve_strokes):
+    for ys, (_, stroke) in zip((raw, eq), _SERIES):
         parts.append(f'<polyline points="{poly(ys)}" fill="none" {stroke}/>')
     parts.append(
         f'<text x="{ml + pw / 2:.0f}" y="{h - 12}" text-anchor="middle" '
@@ -331,7 +325,7 @@ def emit_plot(result: SweepResult, path: str | Path) -> None:
         f'transform="rotate(-90 18 {mt + ph / 2:.0f})">median |DDM - truth|</text>'
     )
     lx = ml + pw - 235
-    for i, ((label, _, _), stroke) in enumerate(zip(_SERIES, strokes)):
+    for i, (label, stroke) in enumerate(_SERIES):
         ly = mt + 14 + 18 * i
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" {stroke}/>')
         parts.append(

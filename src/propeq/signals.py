@@ -10,7 +10,6 @@ The engine (``pipeline``) builds the transmit from them as six spectral lines.
 from __future__ import annotations
 
 import functools
-import math
 import sys
 import typing
 from dataclasses import MISSING, dataclass, fields
@@ -40,7 +39,7 @@ class SampleClock:
     n_samples: int = 32000
 
     def __post_init__(self) -> None:
-        if not 0 < self.rate_hz < math.inf:
+        if not 0 < self.rate_hz <= sys.float_info.max:  # an int may exceed every float
             raise ValueError(f"rate_hz must be finite and > 0, got {self.rate_hz}")
         # 2**63 bounds any numpy array length (and keeps bin_hz a float)
         if type(self.n_samples) is not int or not 0 < self.n_samples < 2**63:
@@ -76,9 +75,11 @@ def fields_of(cls: type) -> tuple[tuple[str, object, object], ...]:
 
 
 def check_finite_fields(obj: object) -> None:
-    """Reject a dataclass instance whose fields of type ``float`` are not all finite."""
+    """Reject a dataclass instance whose ``float`` fields are not all finite floats.
+
+    A NaN, an infinity and an int beyond every float fail the one comparison."""
     for name, tp, _ in fields_of(type(obj)):
-        if tp is float and not math.isfinite(getattr(obj, name)):
+        if tp is float and not abs(getattr(obj, name)) <= sys.float_info.max:
             raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
 
 

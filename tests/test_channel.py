@@ -122,7 +122,7 @@ def test_square_validation(shape_kwargs):
         SquareWave(**shape_kwargs)
 
 
-_INF, _NAN = float("inf"), float("nan")
+_INF, _NAN, _HUGE = float("inf"), float("nan"), 10**400  # _HUGE: an int beyond every float
 
 # the fields that have no default, given values so that each class can be built
 _REQUIRED = {
@@ -131,22 +131,23 @@ _REQUIRED = {
     ToneAmplitudes: {"a_c": 1.0, "a_90": 0.6, "a_150": 0.8},
 }
 # a range check runs before the finite check, so a non-finite value that it
-# rejects keeps the range check's message: (values it rejects, message with {})
+# rejects keeps the range check's message: (values it rejects, message with {}),
+# each value named by its repr, and _HUGE by "huge"
 _RANGE_FIRST = {
-    (SampleClock, "rate_hz"): (("nan", "inf", "-inf"), "rate_hz must be finite and > 0, got {}"),
+    (SampleClock, "rate_hz"): (("nan", "inf", "-inf", "huge"), "rate_hz must be finite and > 0, got {}"),
     (IlsParams, "a_c"): (("nan", "-inf"), "a_c must be > 0, got {}"),
     (IlsParams, "a_90"): (("-inf",), "tone amplitudes must be >= 0"),
     (IlsParams, "a_150"): (("-inf",), "tone amplitudes must be >= 0"),
     (ToneParams, "offset_hz"): (
         ("nan", "-inf"), "offset_hz must be >= 300 to separate tone and signal, got {}"),
     (ToneParams, "amp"): (("nan", "-inf"), "amp must be a normal float > 0, got {}"),
-    (SquareWave, "duty"): (("nan", "inf", "-inf"), "duty must be in (0, 1), got {}"),
-    (SquareWave, "lo"): (("nan", "inf", "-inf"), "need 0 < lo <= hi, got lo={} hi=1.0"),
+    (SquareWave, "duty"): (("nan", "inf", "-inf", "huge"), "duty must be in (0, 1), got {}"),
+    (SquareWave, "lo"): (("nan", "inf", "-inf", "huge"), "need 0 < lo <= hi, got lo={} hi=1.0"),
     (SquareWave, "hi"): (("nan", "-inf"), "need 0 < lo <= hi, got lo=0.5 hi={}"),
-    (SineRipple, "beta"): (("nan", "inf", "-inf"), "beta must be in [0, 1), got {}"),
+    (SineRipple, "beta"): (("nan", "inf", "-inf", "huge"), "beta must be in [0, 1), got {}"),
     (PropellerModel, "f_p"): (("nan", "-inf"), "f_p must be > 0, got {}"),
     (PropellerModel, "coeff"): (("nan", "-inf"), "coeff must be > 0, got {}"),
-    (RegPolicy, "eps_rel"): (("nan", "inf", "-inf"), "eps_rel must be in (0, 1), got {}"),
+    (RegPolicy, "eps_rel"): (("nan", "inf", "-inf", "huge"), "eps_rel must be in (0, 1), got {}"),
     (ScenarioConfig, "signal_half_width_hz"): (
         ("nan", "-inf"), "signal_half_width_hz must be > 0, got {}"),
     (ScenarioConfig, "tone_half_width_hz"): (
@@ -169,17 +170,21 @@ def _dataclasses_in(tp):
 
 
 def _non_finite_cases():
-    """(build, message): each float field of each scenario dataclass given NaN, +inf and -inf."""
+    """(build, message): each float field of each scenario dataclass given NaN, +inf, -inf
+    and _HUGE."""
     for cls in dict.fromkeys([*_dataclasses_in(ScenarioConfig), BandSpec, ToneAmplitudes]):
         for name, tp, _ in fields_of(cls):
             if tp is not float:
                 continue
-            for value in (_NAN, _INF, -_INF):
+            for value in (_NAN, _INF, -_INF, _HUGE):
+                label = "huge" if value is _HUGE else repr(value)
                 claimed, message = _RANGE_FIRST.get((cls, name), ((), ""))
-                if repr(value) not in claimed:
+                if label not in claimed:
                     message = f"{name} must be finite, got {{}}"
                 kwargs = {**_REQUIRED.get(cls, {}), name: value}
-                yield (lambda cls=cls, kwargs=kwargs: cls(**kwargs)), message.format(value)
+                case = (lambda cls=cls, kwargs=kwargs: cls(**kwargs)), message.format(value)
+                # a message with 401 digits in it would make the test id unreadable
+                yield pytest.param(*case, id=f"{cls.__name__}.{name}-huge") if label == "huge" else case
 
 
 @pytest.mark.parametrize(

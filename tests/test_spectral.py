@@ -344,3 +344,14 @@ def test_band_offsets_are_the_bins_of_the_band_definition(case):
     assert np.all(np.diff(got) == 1)
     assert len(got) == 0 or -n / 2 < got[0] <= got[-1] <= n / 2
     assert np.array_equal(np.sort(got % n), want)
+
+
+def test_a_band_with_no_centre_is_outside_nyquist(clock):
+    with pytest.raises(ValueError, match="^center_hz must be finite, got nan$"):
+        BandSpec(float("nan"), 300.0)
+    # a band that skipped its own checks is still refused before it is used
+    band = object.__new__(BandSpec)
+    object.__setattr__(band, "center_hz", float("nan"))
+    object.__setattr__(band, "half_width_hz", 300.0)
+    with pytest.raises(ValueError, match="Nyquist"):
+        band_offsets(clock, band)
