@@ -308,7 +308,8 @@ def emit_plot(result: SweepResult, path: str | Path) -> None:
     for s in result.summaries:
         if s.flagged_freqs:
             x = sx(s.f_p_hz)
-            parts.append(f'<line x1="{x:.2f}" y1="{mt}" x2="{x:.2f}" y2="{mt + ph}" {_FLAG_STROKE}/>')
+            parts.append(
+                f'<line x1="{x:.2f}" y1="{mt}" x2="{x:.2f}" y2="{mt + ph}" {_FLAG_STROKE}/>')
     parts.append(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="black" stroke-width="1"/>'

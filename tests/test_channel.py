@@ -134,7 +134,8 @@ _REQUIRED = {
 # rejects keeps the range check's message: (values it rejects, message with {}),
 # each value named by its repr, and _HUGE by "huge"
 _RANGE_FIRST = {
-    (SampleClock, "rate_hz"): (("nan", "inf", "-inf", "huge"), "rate_hz must be finite and > 0, got {}"),
+    (SampleClock, "rate_hz"): (
+        ("nan", "inf", "-inf", "huge"), "rate_hz must be finite and > 0, got {}"),
     (IlsParams, "a_c"): (("nan", "-inf"), "a_c must be > 0, got {}"),
     (IlsParams, "a_90"): (("-inf",), "tone amplitudes must be >= 0"),
     (IlsParams, "a_150"): (("-inf",), "tone amplitudes must be >= 0"),
@@ -184,7 +185,9 @@ def _non_finite_cases():
                 kwargs = {**_REQUIRED.get(cls, {}), name: value}
                 case = (lambda cls=cls, kwargs=kwargs: cls(**kwargs)), message.format(value)
                 # a message with 401 digits in it would make the test id unreadable
-                yield pytest.param(*case, id=f"{cls.__name__}.{name}-huge") if label == "huge" else case
+                if label == "huge":
+                    case = pytest.param(*case, id=f"{cls.__name__}.{name}-huge")
+                yield case
 
 
 @pytest.mark.parametrize(
