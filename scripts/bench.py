@@ -18,6 +18,9 @@ one writes that bytecode and every timed one reads it. Which side goes
 first is drawn per pair from a shuffled, balanced list (seeded by
 ``--first-seed``), so drift of the host falls on both sides alike.
 
+A SIGTERM while the checkouts are held ends the script in one line, after
+the checkouts are removed.
+
 ``BENCH_<n>.json`` in the repository root holds, per workload and metric of
 ``BENCHMARK.json``'s ``end_to_end`` list and for ``cold_simulate``, each
 side's per-pair values with their median and quartiles, how many pairs each
@@ -40,6 +43,7 @@ import json
 import math
 import os
 import random
+import signal
 import statistics
 import subprocess
 import sys
@@ -67,6 +71,19 @@ def checkout(commit: str):
             yield path
         finally:
             git("worktree", "remove", "--force", str(path))
+
+
+@contextlib.contextmanager
+def sigterm_exits():
+    """While active, SIGTERM raises ``SystemExit``, so held checkouts are removed."""
+    def stop(signum, frame):
+        raise SystemExit("bench: stopped by SIGTERM; no BENCH file written")
+
+    previous = signal.signal(signal.SIGTERM, stop)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def run(argv: list[str], root: Path, failed: str, timeout: float, **env: str):
@@ -189,7 +206,8 @@ def main(argv: list[str] | None = None) -> int:
               for w in workloads}
     cold: dict[str, list[float]] = {s: [] for s in SIDES}
     env: dict = {}
-    with checkout(commits["base"]) as base_dir, checkout(commits["head"]) as head_dir:
+    with sigterm_exits(), checkout(commits["base"]) as base_dir, \
+            checkout(commits["head"]) as head_dir:
         roots = {"base": base_dir, "head": head_dir}
         for root in roots.values():
             cold_simulate(root)  # untimed: writes the checkout's bytecode

@@ -15,7 +15,6 @@ from .equalizer import BLIND_SPOT_THRESHOLD, FLAG_FREQS, flag_blind_spots
 from .errors import PipelineError
 from .harness import (
     ScenarioConfig,
-    check_runs,
     default_scenario,
     dump_spectrum,
     emit_csv,
@@ -27,7 +26,7 @@ from .harness import (
     simulate,
     sweep_fp,
 )
-from .pipeline import STAGES, stage_spectrum
+from .pipeline import STAGES, check_runs, stage_spectrum
 from .spectral import dft_bins, dft_twiddles
 
 

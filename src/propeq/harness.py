@@ -33,7 +33,7 @@ from .channel import (
 )
 from .equalizer import RegPolicy
 from .metrics import DDM_FREQS
-from .pipeline import FpSummary, RunResult, SweepResult  # FpSummary: re-exported
+from .pipeline import FpSummary, RunResult, SweepResult, check_runs  # FpSummary: re-exported
 from .signals import IlsParams, SampleClock, ToneParams, check_finite_fields, fields_of
 from .spectral import BandSpec, Spectrum, bin_index, check_band, folded_frequencies
 
@@ -130,11 +130,6 @@ def run_single(cfg: ScenarioConfig) -> RunResult:
     return result
 
 
-# the most runs (grid rates x seeds) one command may ask for; the default
-# sweep makes 510
-MAX_RUNS = 10**6
-
-
 def grid_points(fp_start: float, fp_stop: float, fp_step: float) -> int:
     """floor((stop-start)/step)+1, the point count of the inclusive grid, without building it."""
     for name, value in (("fp_start", fp_start), ("fp_stop", fp_stop), ("fp_step", fp_step)):
@@ -149,13 +144,6 @@ def grid_points(fp_start: float, fp_stop: float, fp_step: float) -> int:
         raise ValueError(f"a grid from fp_start {fp_start} to fp_stop {fp_stop} by fp_step "
                          f"{fp_step} has too many points to count")
     return int(np.floor(steps + 1e-9)) + 1
-
-
-def check_runs(rates: int, seeds: int) -> None:
-    """Reject a command that would make more than ``MAX_RUNS`` runs."""
-    if rates * seeds > MAX_RUNS:
-        raise ValueError(f"a command may make at most {MAX_RUNS} runs (rates x seeds), "
-                         f"got {rates:.7g} x {seeds}")
 
 
 def fp_grid(
@@ -415,6 +403,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as e:
+        # a deeply nested file exhausts the decoder's recursion
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ValueError(f"invalid JSON in config {path}: {e}") from e
     return scenario_from_dict(d)

@@ -33,8 +33,8 @@ The FFT is linear, so a run's received spectrum is FFT(tx*m) + scale*W, and
 so are its band bins. The band IFFT is linear too, so the run's series are
 the sums above to roundoff: the default 51-rate, 10-seed sweep makes
 2*51*2 + 2*10 = 224 band IFFTs, not 2 per run. A grid with a single rate or
-a single seed shares no series, so each of its runs makes the two band
-IFFTs of its own received bins, as ``Pipeline.equalized`` does.
+a block of one seed (a clock over 81920 samples) shares no series, so each
+run makes the two band IFFTs of its own bins, as ``Pipeline.equalized`` does.
 A band IFFT is a batch of short P-point transforms (50 of 640 points on the
 default clock). The tone band is demodulated by shifting its bins to
 baseband before its IFFT, so no carrier is multiplied in. The raw DDM is
@@ -95,6 +95,16 @@ STAGES = ("modulator", "rx", "equalized")
 NOISE_BLOCK_BYTES = 5 * 2**20
 # the most threads a sweep may ask for; its pool starts min(workers, rates)
 MAX_WORKERS = 64
+# the most runs (grid rates x seeds) one sweep or command may ask for; the
+# default sweep makes 510
+MAX_RUNS = 10**6
+
+
+def check_runs(rates: int, seeds: int) -> None:
+    """Reject a sweep or command that would make more than ``MAX_RUNS`` runs."""
+    if rates * seeds > MAX_RUNS:
+        raise ValueError(f"a command may make at most {MAX_RUNS} runs (rates x seeds), "
+                         f"got {rates:.7g} x {seeds}")
 
 
 def seeds_per_block(n: int) -> int:
@@ -410,8 +420,8 @@ def sweep(
     scenario and noise products, and their results are read in grid order,
     so every number is the same as in a serial sweep.
 
-    With more than one rate and more than one seed, the seeds run in
-    blocks of ``seeds_per_block``: each block's noise series are made once,
+    With more than one rate, and blocks of ``seeds_per_block`` that hold two
+    or more seeds, each block's noise series are made once,
     then each rate's task makes its clean series once for the block, and
     every run sums the two. Otherwise nothing is shared, there is one block,
     and each run makes its own band IFFTs.
@@ -422,14 +432,15 @@ def sweep(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
+    check_runs(len(rates), len(seeds))
     pipe = Pipeline(cfg)
     noises = [pipe.noise(s) for s in seeds]
-    shared = len(rates) > 1 and len(seeds) > 1
     n = cfg.clock.n_samples
-    size = seeds_per_block(n) if shared else len(seeds)
-    # one block's unit noise series, reused by every block: fresh arrays per
-    # block cost a default sweep about a hundred times the page faults
-    units = np.empty((min(size, len(seeds)), 2, n), dtype=np.complex128) if shared else None
+    held = min(seeds_per_block(n), len(seeds)) if len(rates) > 1 else 1
+    size = held if held > 1 else len(seeds)
+    # shared: one block's unit noise series, reused by every block (fresh
+    # arrays per block cost a default sweep a hundred times the page faults)
+    units = np.empty((held, 2, n), dtype=np.complex128) if held > 1 else None
 
     def runs(block, block_units, mod):
         # one workspace per task, which its runs overwrite in turn: a fresh

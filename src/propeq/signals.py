@@ -19,7 +19,7 @@ import numpy as np
 
 # the longest capture a clock may describe, checked before anything of its
 # length is allocated. At this length one simulate peaks at 434 MB RSS
-# (1.84-1.86 s) and a 2-rate x 2-seed sweep at 659 MB (4.5-4.7 s); on the
+# (1.84-1.86 s), and so does a 2-rate x 2-seed sweep (2.6-3.0 s); on the
 # prime length 4 194 301, whose band IFFTs are full-length transforms, a
 # simulate peaks at 1033 MB (6.5-7.7 s). Measured in fresh processes on a
 # 2-core Xeon (numpy 2.4.6)

@@ -17,7 +17,6 @@ from propeq.cli import main
 from propeq.equalizer import predict_blind_spots
 from propeq.harness import (
     CSV_HEADER,
-    MAX_RUNS,
     default_scenario,
     fp_grid,
     load_sweep_csv,
@@ -26,6 +25,7 @@ from propeq.harness import (
     scenario_with,
     sweep_fp,
 )
+from propeq.pipeline import MAX_RUNS
 from propeq.signals import MAX_SAMPLES
 
 

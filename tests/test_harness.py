@@ -34,7 +34,10 @@ from propeq import (
     scenario_with,
     sweep_fp,
 )
-from propeq.harness import CSV_HEADER, MAX_RUNS, check_runs
+from propeq import pipeline
+from propeq.cli import main
+from propeq.harness import CSV_HEADER
+from propeq.pipeline import MAX_RUNS, check_runs
 from propeq.spectral import Spectrum, folded_frequencies
 
 from oracles import synth_tone
@@ -187,6 +190,14 @@ def test_check_runs_allows_exactly_max_runs():
         check_runs(1000, 1001)
 
 
+def test_library_sweep_over_max_runs_is_rejected_before_any_noise(monkeypatch):
+    # 51 rates x 19608 seeds = 1000008 runs, one sweep past the cap
+    monkeypatch.setattr(pipeline.Pipeline, "noise", lambda *a: pytest.fail("noise was drawn"))
+    message = f"a command may make at most {MAX_RUNS} runs (rates x seeds), got 51 x 19608"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep_fp(default_scenario(), 15.0, 40.0, 0.5, seeds=list(range(19608)))
+
+
 # ---------------------------------------------------------------------------
 # emitters
 
@@ -326,11 +337,17 @@ def test_unknown_config_keys_rejected():
         scenario_from_dict({"channel": {"propellers": [{"shape": {"kind": "sine", "bogus": 1}}]}})
 
 
-def test_invalid_json_rejected(tmp_path):
+def test_invalid_json_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ValueError, match="invalid JSON"):
-        load_config(path)
+    # the second nests too deeply for the decoder, which ends in a RecursionError
+    for text in ("{not json", "[" * 100000 + "]" * 100000):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="invalid JSON in config"):
+            load_config(path)
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"propeq: config error: invalid JSON in config {path}: ")
+        assert err.count("\n") == 1
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="JSON object"):
         load_config(path)

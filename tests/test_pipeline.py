@@ -1,5 +1,6 @@
 """The staged engine against the plain numpy reference chain in ``oracles``."""
 
+import dataclasses
 import json
 import math
 import statistics
@@ -326,13 +327,20 @@ def inverse_lengths(monkeypatch):
     return lengths
 
 
-def test_sweep_runs_make_two_short_inverse_transforms(inverse_lengths):
-    cfg = default_scenario()
+@pytest.mark.parametrize("n, length", [(32000, 640), (2**17, 1024)])
+def test_sweep_runs_make_two_short_inverse_transforms(inverse_lengths, n, length):
+    # 601-bin bands: batches of 640-point transforms on the 32000-point clock,
+    # whose block of 5 seeds shares series, and of 1024-point ones on 2**17
+    # points, whose block holds one seed, so every run makes its own two
+    cfg = dataclasses.replace(default_scenario(), clock=SampleClock(float(n), n))
     sweep = sweep_fp(cfg, 22.5, 23.0, 0.5, seeds=[0, 1])
     assert len(sweep.results) == 4
     assert len(inverse_lengths) == 2 * 4
-    # 601-bin bands on the 32000-point clock: batches of 640-point transforms
-    assert set(inverse_lengths) == {640}
+    assert set(inverse_lengths) == {length}
+    for r in sweep.results:
+        one = run_single(scenario_with(cfg, f_p=r.f_p_hz, seed=r.seed))
+        assert r.ddm_raw == pytest.approx(one.ddm_raw, abs=1e-12)
+        assert r.ddm_eq == pytest.approx(one.ddm_eq, abs=1e-12)
 
 
 def test_simulate_makes_two_short_inverse_transforms(inverse_lengths):

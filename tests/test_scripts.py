@@ -9,7 +9,10 @@ import importlib.util
 import json
 import os
 import runpy
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -350,3 +353,43 @@ def test_abpair_checkout_is_a_worktree_removed_on_exit(tmp_path, monkeypatch):
             raise RuntimeError  # a failed run still removes the checkout
     assert not path.exists()
     assert len(git("worktree", "list").splitlines()) == 1
+
+
+def test_bench_script_removes_its_checkouts_when_stopped_by_sigterm(tmp_path):
+    repo = tmp_path / "repo"
+    for name, text in {
+        "scripts/bench.py": (SCRIPTS / "bench.py").read_text(),
+        "BENCHMARK.json": json.dumps({"run_seconds": 1, "workloads": [{"name": "w"}],
+                                      "end_to_end": []}),
+        "src/propeq/__init__.py": "",
+        "src/propeq/__main__.py": "",
+        # marks its start in the checkout, then sleeps until it is stopped
+        "perfbench/run.py": "import pathlib, time\npathlib.Path('started').touch()\n"
+                            "time.sleep(30)\n",
+    }.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                               *args], check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-qm", "c")
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    proc = subprocess.Popen([sys.executable, str(repo / "scripts" / "bench.py"), "1", "HEAD",
+                             "--pairs", "1"], cwd=repo, env=env, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("bench-*/*/started")):
+            assert proc.poll() is None and time.monotonic() < deadline, "no run started"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err == "bench: stopped by SIGTERM; no BENCH file written\n"
+    assert len(git("worktree", "list").splitlines()) == 1
+    assert list(tmp_path.glob("bench-*")) == []
