@@ -34,10 +34,9 @@ from propeq import (
     scenario_with,
     sweep_fp,
 )
-from propeq import pipeline
 from propeq.cli import main
 from propeq.harness import CSV_HEADER
-from propeq.pipeline import MAX_RUNS, check_runs
+from propeq.pipeline import MAX_RUNS, Pipeline, check_runs
 from propeq.spectral import Spectrum, folded_frequencies
 
 from oracles import synth_tone
@@ -192,7 +191,7 @@ def test_check_runs_allows_exactly_max_runs():
 
 def test_library_sweep_over_max_runs_is_rejected_before_any_noise(monkeypatch):
     # 51 rates x 19608 seeds = 1000008 runs, one sweep past the cap
-    monkeypatch.setattr(pipeline.Pipeline, "noise", lambda *a: pytest.fail("noise was drawn"))
+    monkeypatch.setattr(Pipeline, "noise", lambda *a: pytest.fail("noise was drawn"))
     message = f"a command may make at most {MAX_RUNS} runs (rates x seeds), got 51 x 19608"
     with pytest.raises(ValueError, match=re.escape(message)):
         sweep_fp(default_scenario(), 15.0, 40.0, 0.5, seeds=list(range(19608)))
