@@ -2,6 +2,7 @@
 """Write BENCH_<n>.json: the benchmark of two commits, timed in alternating pairs.
 
     python scripts/bench.py 22 BASE [HEAD] [--workload W]... [--pairs K] [--first-seed S]
+                            [--interleaved K]
 
 Checks out BASE and HEAD (default ``HEAD``) with ``git worktree add`` into a
 temporary directory (removed at the end, also on failure), and refuses when
@@ -18,6 +19,16 @@ one writes that bytecode and every timed one reads it. Which side goes
 first is drawn per pair from a shuffled, balanced list (seeded by
 ``--first-seed``), so drift of the host falls on both sides alike.
 
+With ``--interleaved K``, after the pairs, both checkouts' ``src/propeq``
+are imported into this process under two package names, and K in-process
+pairs of each kind in ``KINDS`` (the default library sweep, and one
+``simulate`` of a new scenario) are timed, in an order drawn per pair (see
+``interleaved``). Neighbouring operations share the host's state, so drift
+cancels and a change of a few per cent is resolved. Both sides share one
+process, one heap and one numpy, so these pairs cannot see ``setup_s``,
+import time, peak RSS or page faults; the benchmark pairs above remain the
+basis of every claim.
+
 A SIGTERM while the checkouts are held ends the script in one line, after
 the checkouts are removed.
 
@@ -28,7 +39,8 @@ side won (ties apart) and the two-sided sign-test p-value of those wins; for
 a metric with a ``bound``, whether the pairs resolve a change of that size
 (``resolved``, see ``compare``); per workload each side's attempted and
 failed operations; and both commits, the pairs' seeds and orders, and the
-numpy version, core count and CPU model. A run that fails, times out,
+numpy version, core count and CPU model; with ``--interleaved``, an
+``interleaved`` section (see ``interleaved``). A run that fails, times out,
 prints no JSON result or whose result is not ``correct`` ends the script
 with exit 1 in one line, before any file is written; so does a failed cold
 process. A claim reads its pairs: the parent side of its own BENCH file is
@@ -39,6 +51,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -54,6 +68,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "head")
 HOST = ("numpy", "python", "cpu_count", "cpu_model")
+# the in-process operations of ``--interleaved``: the i-th pair's call on a package
+KINDS = {
+    "sweep": lambda pkg, i: pkg.sweep_fp(pkg.default_scenario(), 15.0, 40.0, 0.5,
+                                          seeds=list(range(10))),
+    "simulate": lambda pkg, i: pkg.simulate(
+        pkg.scenario_with(pkg.default_scenario(), f_p=15.0 + i % 51 * 0.5, seed=i)),
+}
+BLOCKS = 10  # an interleaved kind's pairs are split into this many blocks
+WARMUPS = 3  # untimed calls of each kind and side before its pairs
+BLIND_TO = ("setup_s", "import time", "peak RSS", "page faults")
 
 
 def git(*args: str) -> str:
@@ -170,6 +194,56 @@ def compare(values: dict[str, list[float]], better: str, bound: float | None = N
     return out
 
 
+def load_package(src: Path, name: str):
+    """The package in the directory ``src`` imported as ``name``, its submodules under it.
+
+    Relative imports resolve inside ``name``, so two copies of one package
+    load side by side, and neither enters ``sys.modules`` under its own name.
+    """
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
+
+
+def interleaved(roots: dict[str, Path], pairs: int, seed: int, kinds: dict = KINDS) -> dict:
+    """Per kind, ``pairs`` in-process pairs of both checkouts' ``src/propeq``.
+
+    Each side's package is loaded as ``bench_<side>_propeq``. For each kind,
+    after ``WARMUPS`` untimed calls per side, pair i calls both sides with i,
+    in an order drawn from a generator seeded by ``seed``. Per kind: each
+    pair's ratio head/base (``summary``), the medians of ``BLOCKS`` blocks of
+    consecutive pairs, the pairs each side won and the sign test of those
+    wins.
+    """
+    pkgs = {side: load_package(roots[side] / "src" / "propeq", f"bench_{side}_propeq")
+            for side in SIDES}
+    draw = random.Random(seed)
+    out = {}
+    for kind, call in kinds.items():
+        for i in range(WARMUPS):
+            for side in SIDES:
+                call(pkgs[side], i)
+        ratios = []
+        for i in range(pairs):
+            took = {}
+            for side in draw.sample(SIDES, len(SIDES)):
+                start = time.perf_counter()
+                call(pkgs[side], i)
+                took[side] = time.perf_counter() - start
+            ratios.append(took["head"] / took["base"])
+        blocks = [ratios[pairs * b // BLOCKS : pairs * (b + 1) // BLOCKS] for b in range(BLOCKS)]
+        wins = {"base": sum(r > 1 for r in ratios), "head": sum(r < 1 for r in ratios)}
+        out[kind] = {"ratio": summary(ratios),
+                     "block_medians": [statistics.median(b) for b in blocks],
+                     "wins": wins, "sign_test_p": sign_test(wins["head"], wins["base"])}
+        print(f"interleaved {kind}: head/base median {out[kind]['ratio']['median']:.4f}",
+              file=sys.stderr)
+    return {"pairs": pairs, "warmups": WARMUPS, "blind_to": list(BLIND_TO), **out}
+
+
 def main(argv: list[str] | None = None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in declared["workloads"]]
@@ -180,6 +254,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", action="append", help="run only this workload (repeatable)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=100, help="workload seed of the first pair")
+    ap.add_argument("--interleaved", type=int, default=0, metavar="K",
+                    help=f"then time K in-process pairs of each of {', '.join(KINDS)}")
     args = ap.parse_args(argv)
     unknown = sorted(set(args.workload or ()) - set(names))
     if unknown:
@@ -187,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
                          "no BENCH file written")
     if args.pairs < 1:
         raise SystemExit(f"bench: --pairs must be >= 1, got {args.pairs}; no BENCH file written")
+    if args.interleaved and args.interleaved < BLOCKS:
+        raise SystemExit(f"bench: --interleaved must be 0 or >= {BLOCKS}, got "
+                         f"{args.interleaved}; no BENCH file written")
     workloads = [w for w in names if not args.workload or w in args.workload]
 
     commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
@@ -224,6 +303,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} seed {seed} {side}: wall_s {wall:.4g}", file=sys.stderr)
             for side in sides:
                 cold[side].append(cold_simulate(roots[side]))
+        inter = interleaved(roots, args.interleaved, args.first_seed) if args.interleaved else None
 
     bench = {
         **{side: commits[side] for side in SIDES},
@@ -240,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
                       for w in workloads},
         "cold_simulate": {"unit": "s", "better": "lower", **compare(cold, "lower")},
     }
+    if inter is not None:
+        bench["interleaved"] = inter
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(bench, indent=2) + "\n")
     print(f"wrote {out}")

@@ -42,39 +42,59 @@ class RegPolicy:
             raise ValueError(f"eps_rel must be in (0, 1), got {self.eps_rel}")
 
 
+def divisor(g: np.ndarray, eps_rel: float, out: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """r = 1/max(|g|^2, floor^2) with floor = eps_rel * max |g|, written to ``out``.
+
+    s * conj(g) * r is then the regularized quotient. |g|^2 is formed with
+    no hypot: ``g``'s float view is squared into ``squares`` (2N floats,
+    which the caller may reuse afterwards) and each re^2, im^2 pair is added
+    into ``out`` (N floats).
+
+    The max that the floor needs also checks the estimate: a NaN or an
+    infinity in ``g`` makes it non-finite, and a finite ``g`` carries
+    energy exactly when max |g| > 0, so ``g`` is not scanned again unless
+    one of those tests fails. On a finite ``g`` whose |g|^2 overflows, the
+    floor is taken from |g| itself. It enters no ``np.errstate``: call it
+    under one that ignores overflow and invalid operations, as
+    ``regularized_divide`` and the engine's run kernel do.
+
+    Raises:
+        ValueError: ``g`` is not finite or carries no energy.
+    """
+    np.square(g.view(np.float64), out=squares)
+    np.add(squares[0::2], squares[1::2], out=out)
+    peak = math.sqrt(float(np.max(out)))
+    if not peak < math.inf:
+        check_finite(g, "g_hat")
+        peak = float(np.max(np.abs(g)))  # can itself overflow on a finite g
+    if not peak / out.size > 0:
+        check_estimate(g)  # the mean of |g| underflows to 0 only below this
+    floor_sq = np.float64(eps_rel * peak) ** 2
+    np.maximum(out, floor_sq, out=out)
+    return np.reciprocal(out, out=out)
+
+
 def regularized_divide(
     s: np.ndarray, g: np.ndarray, eps_rel: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """s * conj(g) / max(|g|^2, floor^2) with floor = eps_rel * max |g|.
 
     The quotient is written to ``out`` if given, which may be ``g`` itself:
-    every step is elementwise, so the bits are those of a fresh array.
-
-    The one |g| pass the floor needs also checks the estimate: a NaN or an
-    infinity in ``g`` makes max |g| non-finite, and a finite ``g`` carries
-    energy exactly when max |g| > 0, so ``g`` is not scanned again unless
-    one of those tests fails. The quotient itself is not checked, and its
-    overflows raise no warning: the caller rejects a non-finite one.
+    every step is elementwise, so the bits are those of a fresh array. The
+    floor, its checks of ``g`` and the reciprocal are ``divisor``'s; numpy
+    divides by the complex c + 0j as a * (1/c), so multiplying by that
+    reciprocal gives the quotient bit for bit. The quotient itself is not
+    checked, and its overflows raise no warning: the caller rejects a
+    non-finite one.
 
     Raises:
         ValueError: ``g`` is not finite or carries no energy.
     """
     with np.errstate(all="ignore"):
-        mag = np.abs(g)
-        peak = float(np.max(mag))
-        if not peak < math.inf:
-            check_finite(g, "g_hat")  # |g| can also overflow on a finite g
-        if not peak / mag.size > 0:
-            check_estimate(g)  # the mean of |g| underflows to 0 only below this
-        floor_sq = np.float64(eps_rel * peak) ** 2
-        np.square(mag, out=mag)
-        np.maximum(mag, floor_sq, out=mag)
-        # numpy divides by the complex c + 0j as a * (1/c), so this multiply
-        # gives the quotient bit for bit
-        np.reciprocal(mag, out=mag)
+        r = divisor(g, eps_rel, np.empty(g.shape), np.empty(2 * g.size))
         out = np.conjugate(g, out=out)
         out *= s
-        out *= mag
+        out *= r
     return out
 
 

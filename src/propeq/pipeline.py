@@ -20,11 +20,16 @@ computes each product once, at the outermost layer it depends on:
   g_w). A block holds as many seeds as ``NOISE_BLOCK_BYTES`` allows, 5 on the
   default 32000-point clock, so the engine holds O(N x block + seeds x band
   bins), never a seeds x N table;
-* per run: two axpys, s = s_c + scale*s_w and g_hat = g_c + scale*g_w, the
-  regularized division and a DFT of the five DDM bins of the quotient. The
-  axpys write into one (2, N) workspace per (seed block, rate) task, and the
-  quotient overwrites g_hat there; the divider's |g_hat| is a run's only
-  fresh N-length array.
+* per (seed block, rate) task: one call of the run kernel
+  (``Pipeline.runs``), which stacks the block's received band bins and reads
+  their finiteness, the raw DDM bins and the tone-band energies at once,
+  and allocates one (2, N) workspace and one N-float buffer r;
+* per run: g_hat = g_c + scale*g_w into row 1 of the workspace, its squares
+  into row 0's floats, 1/max(|g_hat|^2, floor^2) into r, then
+  s = s_c + scale*s_w into row 0 and the quotient conj(g_hat)*s*r over
+  g_hat, and a DFT of its five DDM bins from one fold. A run that shares no
+  series makes its tone IFFT in g_hat's place and its signal IFFT in s's.
+  A run allocates no N-length array.
 
 ``sweep`` returns the records the emitters read, in grid order: a
 ``RunResult`` per run and a ``FpSummary`` of medians and flags per rate.
@@ -46,11 +51,12 @@ norms the run already holds. Only the ``rx`` dump (``rx_spectrum``) builds
 it, by a rate's two calls, with ``_line_sum`` over all N bins: its band bins
 are a run's, bit for bit, and an overflow ends both in the same error.
 
-A run makes no full-length pass for its checks alone. The divider's one
-|g_hat| pass, which sets the floor, also rejects a g_hat that is not finite
-or carries no energy, and it multiplies by the reciprocal of the floored
-|g_hat|^2. The quotient is checked through its five DDM bins: each bin sums
-every sample, so a non-finite sample makes every bin non-finite.
+A run makes no full-length pass for its checks alone. The max of |g_hat|^2,
+which sets the floor, also rejects a g_hat that is not finite or carries no
+energy, and the quotient is a multiply by the reciprocal of the floored
+|g_hat|^2 (``equalizer.divisor``). The quotient is checked through its five
+DDM bins: each bin sums every sample, so a non-finite sample makes every bin
+non-finite.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from .channel import (
     power_noise_scale,
     unit_noise,
 )
-from .equalizer import FLAG_FREQS, flag_blind_spots, regularized_divide
+from .equalizer import FLAG_FREQS, divisor, flag_blind_spots
 from .errors import ToneAbsentError
 from .metrics import DDM_FREQS, amplitudes_from_bins, compute_ddm
 from .signals import SampleBuffer, SampleClock, check_finite
@@ -157,10 +163,18 @@ def _transmit(cfg: ScenarioConfig) -> tuple[list[tuple[int, complex]], np.ndarra
     }
     lines = [(bin_index(cfg.clock, f), c) for f, c in amps.items()]
     g = math.gcd(n, *(k for k, _ in lines))
-    t = np.arange(n // g)
-    roots = root_powers(len(t), 1, len(t))
+    p = n // g
+    t = np.arange(p)
+    roots = root_powers(p, 1, p)
+    # one index and one term buffer serve all six lines, and the period is
+    # summed in place from zeros, as sum() adds the terms to 0
+    idx, term = np.empty(p, dtype=np.int64), np.empty(p, dtype=np.complex128)
+    period = np.zeros(p, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        period = sum(c * roots[k // g * t % len(t)] for k, c in lines)
+        for k, c in lines:
+            np.remainder(np.multiply(t, k // g, out=idx), p, out=idx)
+            np.multiply(c, np.take(roots, idx, out=term), out=term)
+            period += term
     check_finite(period, "transmitted samples")
     return lines, period
 
@@ -248,7 +262,7 @@ class Pipeline:
         ddm = [bin_index(clock, f) for f in DDM_FREQS]
         pos = [(k - n if k > n // 2 else k) - signal[0] for k in ddm]
         self._ddm_pos = [j if 0 <= j < len(signal) else len(signal) for j in pos]
-        self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
+        self._ddm_dft = dft_twiddles(clock, DDM_FREQS)
         self._flag_idx = [bin_index(clock, f) for f in FLAG_FREQS]
         if cfg.channel.snr_db is None:  # one read-only zero noise stage serves every seed
             self._zero_noise = Noise(*(np.broadcast_to(0j, len(b)) for b in (signal, tone)), 0.0)
@@ -296,75 +310,100 @@ class Pipeline:
         mod: Modulated,
         noise: Noise,
         parts: tuple[np.ndarray, np.ndarray] | None = None,
-        ws: np.ndarray | None = None,
     ) -> tuple[float, float]:
-        """(ddm_raw, ddm_eq) of one run.
+        """(ddm_raw, ddm_eq) of one run: ``runs`` on a block of one.
 
         ``parts`` are the ``series`` of ``mod``'s clean bins and of ``noise``'s
-        unit bins. Given them, the run's series are their sum
-        clean + scale*unit, which by linearity equals the band IFFTs of its
-        received bins to roundoff; otherwise the run makes those IFFTs.
-        ``ws`` is a C-contiguous complex (2, N) workspace that the run
-        overwrites with its series and quotient; without it one is allocated.
+        unit bins, which the run sums instead of making its own band IFFTs.
         """
-        signal, tone = self._receive(mod, noise)
-        ddm_raw = compute_ddm(self._amplitudes(np.append(signal, 0)[self._ddm_pos]))
-        q = self._equalize(mod, noise, signal, tone, parts, ws)
-        bins = dft_bins(self._ddm_twiddles, q)
-        # every sample enters every bin, so a non-finite sample shows here
-        check_finite(bins, "equalized samples")
-        return ddm_raw, compute_ddm(self._amplitudes(bins))
+        return self.runs(mod, [noise], None if parts is None else (parts[0], [parts[1]]))[0]
 
     def equalized(self, mod: Modulated, noise: Noise) -> SampleBuffer:
         """The equalized capture of one run."""
-        q = self._equalize(mod, noise, *self._receive(mod, noise))
-        check_finite(q, "equalized samples")
-        return SampleBuffer(self.cfg.clock, q)
+        return SampleBuffer(self.cfg.clock, self.runs(mod, [noise], capture=True)[0])
+
+    def runs(
+        self,
+        mod: Modulated,
+        block: Sequence[Noise],
+        parts: tuple[np.ndarray, np.ndarray] | None = None,
+        capture: bool = False,
+    ) -> list:
+        """(ddm_raw, ddm_eq) of the run of ``mod`` with each noise stage of ``block``, in order.
+
+        ``parts`` are the ``series`` of ``mod``'s clean bins, a (2, N) array,
+        and a sequence of the ``series`` of each stage's unit bins. Given them,
+        a run's series are clean + scale*unit, which by linearity equals the
+        band IFFTs of its received bins to roundoff; otherwise each run makes
+        those IFFTs. With ``capture``, the one run's checked quotient is
+        returned in a list instead, and its raw DDM is not read.
+
+        The block's small arrays are formed once: its received band bins,
+        their finiteness, its raw DDM bins and tone-band energies. Then each
+        run, in order, makes the checks of those with their own messages, and
+        writes into one (2, N) workspace and one N-float buffer r, which every
+        run of the block reuses: g_hat into row 1, its squares into row 0's
+        floats, 1/max(|g_hat|^2, floor^2) into r (``equalizer.divisor``), its
+        signal series into row 0, and the quotient conj(g_hat)*s*r over g_hat.
+        Fresh arrays per run would be refaulted run after run. A tone too faint for its band overflows g_hat without a warning, and
+        the divisor rejects it; a non-finite quotient is found in its five DDM
+        bins, since every sample enters every bin.
+        """
+        n, width = self.cfg.clock.n_samples, len(self._signal_idx)
+        ws = np.empty((2, n), dtype=np.complex128)
+        s, g = ws
+        r = np.empty(n)
+        out = []
+        with np.errstate(all="ignore"):
+            # clean + scale*unit, as each run once formed its own; the signal
+            # band has a 0 after it, which a DDM bin outside the band reads
+            signal = np.empty((len(block), width + 1), dtype=np.complex128)
+            np.multiply(mod.scale, [w.signal for w in block], out=signal[:, :width])
+            np.add(mod.signal, signal[:, :width], out=signal[:, :width])
+            signal[:, width] = 0
+            tone = np.multiply(mod.scale, [w.tone for w in block])
+            np.add(mod.tone, tone, out=tone)
+            finite = np.isfinite(signal).all(axis=1) & np.isfinite(tone).all(axis=1)
+            raw = signal[:, self._ddm_pos]
+            energy = np.sum(_abs_square(tone), axis=1)
+            total = np.square(mod.norm) + np.square(mod.scale * np.array([w.norm for w in block]))
+            for i in range(len(block)):
+                if not finite[i]:
+                    check_finite(signal[i], "received bins")
+                    check_finite(tone[i], "received bins")
+                ddm_raw = None if capture else compute_ddm(self._amplitudes(raw[i]))
+                self._check_tone_energy(energy[i], total[i])
+                if parts is None:
+                    self._tone_ifft(tone[i] * self._tone_gain, g)
+                else:
+                    clean, units = parts
+                    np.multiply(units[i][1], mod.scale, out=g)  # unit * scale + clean, bit for bit
+                    g += clean[1]
+                divisor(g, self.cfg.reg.eps_rel, r, s.view(np.float64))
+                if parts is None:
+                    self._signal_ifft(signal[i, :width], s)
+                else:
+                    np.multiply(units[i][0], mod.scale, out=s)
+                    s += clean[0]
+                np.conjugate(g, out=g)
+                g *= s
+                g *= r
+                if capture:
+                    check_finite(g, "equalized samples")
+                    return [g]
+                bins = dft_bins(self._ddm_dft, g)
+                check_finite(bins, "equalized samples")
+                out.append((ddm_raw, compute_ddm(self._amplitudes(bins))))
+        return out
 
     def _amplitudes(self, bins: np.ndarray):
         return amplitudes_from_bins(bins, self.cfg.clock.n_samples)
 
-    def _receive(self, mod: Modulated, noise: Noise) -> tuple[np.ndarray, np.ndarray]:
-        """The received signal-band and tone-band bins, in ascending frequency."""
-        signal = mod.signal + mod.scale * noise.signal
-        tone = mod.tone + mod.scale * noise.tone
-        check_finite(signal, "received bins")
-        check_finite(tone, "received bins")
-        return signal, tone
-
-    def _equalize(
-        self,
-        mod: Modulated,
-        noise: Noise,
-        signal: np.ndarray,
-        tone: np.ndarray,
-        parts: tuple[np.ndarray, np.ndarray] | None = None,
-        ws: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """The quotient of one run, not yet checked to be finite, in row 1 of ``ws``."""
-        self._check_tone_energy(mod, noise, tone)
-        if ws is None:
-            ws = np.empty((2, self.cfg.clock.n_samples), dtype=np.complex128)
-        if parts is None:
-            self.series(signal, tone, ws)
-        else:
-            # the unit tone series carries 1/amp, so a faint tone can overflow
-            # here; the divider's |g_hat| pass and the DDM bins reject it, unwarned
-            clean, unit = parts
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(unit, mod.scale, out=ws)  # unit * scale + clean, bit for bit
-                ws += clean
-        s, g = ws
-        return regularized_divide(s, g, self.cfg.reg.eps_rel, out=g)
-
-    def _check_tone_energy(self, mod: Modulated, noise: Noise, tone: np.ndarray) -> None:
+    def _check_tone_energy(self, band_energy: float, total: float) -> None:
         # The received energy ||S + scale*W||^2 is ||S||^2 + scale^2*||W||^2
         # plus a cross term whose mean is 0. A tone band at most 1e-24 of that
         # holds only FFT roundoff. A capture can be so loud that its energy
         # overflows, and then nothing is decided.
-        with np.errstate(over="ignore"):
-            band_energy = float(np.sum(_abs_square(tone)))
-            total = float(np.square(mod.norm) + np.square(mod.scale * noise.norm))
         if not total < math.inf:
             raise ValueError("received energy must be finite")
         if band_energy <= 1e-24 * total:
@@ -415,8 +454,8 @@ def sweep(
     """One ``RunResult`` per (rate, seed) and one ``FpSummary`` per rate, in grid order.
 
     A rate of None keeps the scenario's own propeller rates. Each rate's
-    ``Modulated`` is built once, then each seed block runs one task per rate;
-    with ``workers`` > 1 the tasks run on threads that share the read-only
+    ``Modulated`` is built once, then each seed block runs one task per rate,
+    a call of the run kernel ``Pipeline.runs`` on the block; with ``workers`` > 1 the tasks run on threads that share the read-only
     scenario and noise products, and their results are read in grid order,
     so every number is the same as in a serial sweep.
 
@@ -442,14 +481,11 @@ def sweep(
     # arrays per block cost a default sweep a hundred times the page faults)
     units = np.empty((held, 2, n), dtype=np.complex128) if held > 1 else None
 
-    def runs(block, block_units, mod):
-        # one workspace per task, which its runs overwrite in turn: a fresh
-        # one per run is refaulted run after run in a fresh process
-        ws = np.empty((2, n), dtype=np.complex128)
+    def task(block, block_units, mod):
         if block_units is None:
-            return [pipe.run(mod, w, ws=ws) for w in block]
+            return pipe.runs(mod, block)
         clean = pipe.series(mod.signal, mod.tone, np.empty((2, n), dtype=np.complex128))
-        return [pipe.run(mod, w, (clean, u), ws) for w, u in zip(block, block_units)]
+        return pipe.runs(mod, block, (clean, block_units))
 
     per_rate: list[list[tuple[float, float]]] = [[] for _ in rates]
     k = min(workers, len(rates))
@@ -463,7 +499,7 @@ def sweep(
             block_units = None if units is None else [
                 pipe.series(w.signal, w.tone, u) for w, u in zip(block, units)
             ]
-            for acc, r in zip(per_rate, each(functools.partial(runs, block, block_units), mods)):
+            for acc, r in zip(per_rate, each(functools.partial(task, block, block_units), mods)):
                 acc += r
 
     from statistics import median  # np.median's float, without its first call's numpy.ma import

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,35 +203,55 @@ def root_powers(n: int, k: int | np.ndarray, count: int) -> np.ndarray:
     return table.reshape(-1, *k.shape)[:count]
 
 
-def dft_twiddles(clock: SampleClock, freqs: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+class DftPlan(NamedTuple):
+    """What ``dft_bins`` needs: one fold length and each twiddle period's table."""
+
+    fold: int  # the lcm of the periods, which divides N
+    size: int  # the number of bins
+    # per period P: the positions of its bins among the freqs, and one period
+    # of their twiddles as a C-contiguous (bins, P) table
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def dft_twiddles(clock: SampleClock, freqs: tuple[float, ...]) -> DftPlan:
     """One period of exp(-2*pi*i*k*n/N) for the exact bin k of each of ``freqs``.
 
     k*n mod N repeats every P = N/gcd(k, N) samples, so P twiddles describe
     a whole DFT row: on the default clock 3200 for 90 Hz, 640 for 150 Hz,
-    and 1 for 0 Hz. Each row is ``root_powers`` of -k, whose exponent is
-    reduced in integers, so every twiddle is accurate to roundoff.
+    and 1 for 0 Hz. The bins of one period share a table, whose rows are
+    ``root_powers`` of -k: each exponent is reduced in integers, so every
+    twiddle is accurate to roundoff. No table is tiled to a longer period.
     """
     n = clock.n_samples
-    out = []
-    for f in freqs:
-        k = bin_index(clock, f)
-        out.append(root_powers(n, -k, n // math.gcd(k, n)))
-    return tuple(out)
+    ks = [bin_index(clock, f) for f in freqs]
+    periods = [n // math.gcd(k, n) for k in ks]
+    groups = []
+    for p in sorted(set(periods)):
+        pos = [i for i, q in enumerate(periods) if q == p]
+        groups.append((np.array(pos), np.array([root_powers(n, -ks[i], p) for i in pos])))
+    return DftPlan(math.lcm(*periods), len(ks), tuple(groups))
 
 
-def dft_bins(twiddles: tuple[np.ndarray, ...], samples: np.ndarray) -> np.ndarray:
-    """The DFT of ``samples`` at the bins of ``twiddles`` (see ``dft_twiddles``).
+def dft_bins(plan: DftPlan, samples: np.ndarray) -> np.ndarray:
+    """The DFT of ``samples`` at the bins of ``plan`` (see ``dft_twiddles``).
 
     Equals ``np.fft.fft(samples)`` at those bins to roundoff. The capture is
-    folded onto each distinct twiddle period once (the +-90 Hz bins share
-    one fold on the default clock, as do the +-150 Hz bins), and each bin
-    takes a P-point dot product with its fold, so reading a few bins costs
-    far less than a full FFT. Every sample enters every bin, so a NaN or an
-    infinity among the samples makes every bin non-finite; the caller finds
-    it there, and the folds and dot products raise no warning.
+    folded once, onto the lcm L of the twiddle periods (3200 on the default
+    clock, N on a prime one); every period divides L, so each shorter fold
+    (640 and 1 on the default clock) is read from that one. The bins of one
+    period take one dot product each with its fold, so reading a few bins
+    costs about one pass over the capture, far less than a full FFT. Every
+    sample enters every bin, so a NaN or an infinity among the samples makes
+    every bin non-finite; the caller finds it there, and the folds and dot
+    products raise no warning.
     """
+    out = np.empty(plan.size, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        folds = {p: samples.reshape(-1, p).sum(axis=0) for p in {len(tw) for tw in twiddles}}
-        # einsum, not BLAS: its fixed summation order keeps serial and threaded
-        # runs bit-identical
-        return np.array([np.einsum("p,p->", folds[len(tw)], tw) for tw in twiddles])
+        fold = samples if len(samples) == plan.fold else samples.reshape(-1, plan.fold).sum(axis=0)
+        for pos, table in plan.groups:
+            p = table.shape[1]
+            part = fold if p == plan.fold else fold.reshape(-1, p).sum(axis=0)
+            # einsum, not BLAS: its fixed summation order keeps serial and threaded
+            # runs bit-identical, and it starts no thread pool
+            out[pos] = np.einsum("p,kp->k", part, table)
+    return out

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import statistics
 import sys
 import tracemalloc
@@ -39,11 +40,13 @@ from propeq.equalizer import BLIND_SPOT_THRESHOLD
 from propeq.pipeline import (
     STAGES,
     Pipeline,
+    _transmit,
     rx_spectrum,
     seeds_per_block,
     stage_spectrum,
 )
-from propeq.spectral import band_offsets
+from propeq.metrics import DDM_FREQS, amplitudes_from_bins, compute_ddm
+from propeq.spectral import band_offsets, bin_index, root_powers
 
 import oracles
 
@@ -343,6 +346,20 @@ def test_sweep_runs_make_two_short_inverse_transforms(inverse_lengths, n, length
         assert r.ddm_eq == pytest.approx(one.ddm_eq, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [32000, 36000, 32003])
+def test_run_kernel_reads_the_fft_of_its_quotient(n):
+    # the kernel's five DDM bins come from one fold of the quotient, on a clock
+    # whose twiddle periods nest, one where they do not and a prime one; the
+    # equalized capture is the same kernel's quotient
+    cfg = dataclasses.replace(SCENARIOS["sine"], clock=SampleClock(float(n), n))
+    pipe = Pipeline(cfg)
+    mod, noise = pipe.modulate(), pipe.noise(cfg.channel.rng_seed)
+    spec = np.fft.fft(pipe.equalized(mod, noise).samples)
+    bins = spec[[bin_index(cfg.clock, f) for f in DDM_FREQS]]
+    want = compute_ddm(amplitudes_from_bins(bins, n))
+    assert pipe.run(mod, noise)[1] == pytest.approx(want, rel=0, abs=1e-12)
+
+
 def test_simulate_makes_two_short_inverse_transforms(inverse_lengths):
     simulate(default_scenario())
     assert inverse_lengths == [640, 640]
@@ -435,33 +452,94 @@ _INJECTED = {
 }
 
 
+_PATHS = ["run", "shared", "equalized", "sweep"]
+
+
+def _corrupted_path(monkeypatch, attr, corrupt, path):
+    """The outcome of ``path`` on the default scenario with the band IFFT ``attr`` corrupted.
+
+    ``run`` and ``equalized`` make their own band IFFTs; ``shared`` sums a
+    clean and a unit series, both corrupted, as a sweep's run does; ``sweep``
+    is a 2-rate x 2-seed sweep whose every ``Pipeline`` is corrupted.
+    """
+    def corrupting(pipe):
+        plan = getattr(pipe, attr)
+
+        def corrupted(bins, out):
+            corrupt(plan(bins, out))
+            return out
+
+        monkeypatch.setattr(pipe, attr, corrupted)
+
+    if path == "sweep":
+        init = Pipeline.__init__
+
+        def corrupted_init(pipe, cfg):
+            init(pipe, cfg)
+            corrupting(pipe)
+
+        monkeypatch.setattr(Pipeline, "__init__", corrupted_init)
+        return sweep_fp(default_scenario(), 22.5, 23.0, 0.5, seeds=[0, 1])
+    pipe = Pipeline(default_scenario())
+    corrupting(pipe)
+    mod, noise = pipe.modulate(), pipe.noise(0)
+    if path == "run":
+        return pipe.run(mod, noise)
+    if path == "shared":
+        n = pipe.cfg.clock.n_samples
+        clean, unit = (pipe.series(b.signal, b.tone, np.empty((2, n), dtype=np.complex128))
+                       for b in (mod, noise))
+        return pipe.run(mod, noise, (clean, unit))
+    return pipe.equalized(mod, noise)
+
+
 @pytest.mark.filterwarnings("error")  # the error is the only thing reported
-@pytest.mark.parametrize("path", ["run", "shared", "equalized"])
+@pytest.mark.parametrize("path", _PATHS)
 @pytest.mark.parametrize("case", _INJECTED)
 def test_corrupt_band_ifft_keeps_its_error(monkeypatch, case, path):
     attr, corrupt, message = _INJECTED[case]
-    pipe = Pipeline(default_scenario())
-    plan = getattr(pipe, attr)
-
-    def corrupted(bins, out):
-        corrupt(plan(bins, out))
-        return out
-
-    monkeypatch.setattr(pipe, attr, corrupted)
-    mod, noise = pipe.modulate(), pipe.noise(0)
     with pytest.raises(ValueError) as exc:
-        if path == "run":
-            pipe.run(mod, noise)
-        elif path == "shared":
-            # a sweep's run sums the clean and unit series, both corrupted
-            n = pipe.cfg.clock.n_samples
-            clean, unit = (pipe.series(b.signal, b.tone, np.empty((2, n), dtype=np.complex128))
-                           for b in (mod, noise))
-            pipe.run(mod, noise, (clean, unit))
-        else:
-            pipe.equalized(mod, noise)
+        _corrupted_path(monkeypatch, attr, corrupt, path)
     assert exc.type is ValueError
     assert str(exc.value) == message
+
+
+# the a_c each path reports, or the equalized capture's largest |sample|, with
+# g_hat = 1e155*(1+1j) at one sample: finite, but its |g_hat|^2 overflows
+_G_LARGE = {"run": 3.9018667927965873e-305, "shared": 3.233359703211771e-305,
+            "equalized": 1.2300365416189469e-304, "sweep": 3.1082028155696826e-305}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("path", _PATHS)
+def test_g_hat_whose_square_overflows_keeps_its_floor(monkeypatch, path):
+    # max |g_hat| is finite, so the floor is eps_rel * max |g_hat| as before,
+    # and only the large sample is floored by its own infinite |g_hat|^2: its
+    # quotient is 0 and every other one is tiny, so the carrier is lost
+    corrupt = _setting(1e155 * (1 + 1j))
+    if path == "equalized":
+        q = _corrupted_path(monkeypatch, "_tone_ifft", corrupt, path).samples
+        assert q[7] == 0 and np.count_nonzero(q) == len(q) - 1
+        assert np.abs(q).max() == pytest.approx(_G_LARGE[path], rel=1e-9, abs=0)
+        return
+    with pytest.raises(CarrierLostError) as exc:
+        _corrupted_path(monkeypatch, "_tone_ifft", corrupt, path)
+    a_c, bound = re.fullmatch(r"carrier lost: a_c=(\S+) <= (\S+)", str(exc.value)).groups()
+    assert bound == "1e-12"
+    assert float(a_c) == pytest.approx(_G_LARGE[path], rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("n", [32000, 2**22])
+def test_transmit_period_is_the_sum_of_its_gathered_lines_bit_for_bit(n):
+    # the period reads each line's entries of one table of P-th roots of unity
+    # and adds the six terms to 0 in line order; on 2**22 samples P is 2**21
+    cfg = dataclasses.replace(default_scenario(), clock=SampleClock(float(n), n))
+    lines, period = _transmit(cfg)
+    g = math.gcd(n, *(k for k, _ in lines))
+    p = n // g
+    t, roots = np.arange(p), root_powers(p, 1, p)
+    want = sum(c * roots[k // g * t % p] for k, c in lines)
+    assert period.tobytes() == want.tobytes()
 
 
 def _assert_lines_match_synth(cfg):

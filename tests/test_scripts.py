@@ -229,6 +229,8 @@ def test_bench_script_records_both_sides_attempted_and_failed_for_every_workload
     (["--workload", "first", "--workload", "fist"],
      "bench: BENCHMARK.json names no workload fist; no BENCH file written"),
     (["--pairs", "0"], "bench: --pairs must be >= 1, got 0; no BENCH file written"),
+    (["--interleaved", "9"],
+     "bench: --interleaved must be 0 or >= 10, got 9; no BENCH file written"),
 ])
 def test_bench_script_refuses_bad_arguments_before_any_checkout(tmp_path, monkeypatch, args, message):
     bench = _bench(tmp_path, monkeypatch)
@@ -393,3 +395,101 @@ def test_bench_script_removes_its_checkouts_when_stopped_by_sigterm(tmp_path):
     assert err == "bench: stopped by SIGTERM; no BENCH file written\n"
     assert len(git("worktree", "list").splitlines()) == 1
     assert list(tmp_path.glob("bench-*")) == []
+
+
+# a fake propeq whose four calls spin for DELAY seconds; the top level imports
+# them relatively from a submodule, as propeq does
+_FAKE_HARNESS = """import time
+
+from .delays import DELAY
+
+
+def _spin(seconds):
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        pass
+
+
+def default_scenario():
+    return "default"
+
+
+def scenario_with(cfg, f_p=None, seed=None):
+    return (cfg, f_p, seed)
+
+
+def sweep_fp(cfg, start, stop, step, seeds):
+    _spin(DELAY)
+
+
+def simulate(cfg):
+    _spin(DELAY / 2)
+"""
+
+
+def _fake_checkout(root, delay):
+    pkg = root / "src" / "propeq"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from .harness import *  # noqa: F403\n")
+    (pkg / "harness.py").write_text(_FAKE_HARNESS)
+    (pkg / "delays.py").write_text(f"DELAY = {delay!r}\n")
+    return root
+
+
+@pytest.fixture()
+def restored_modules():
+    """Removes every module imported while the test ran."""
+    before = set(sys.modules)
+    yield
+    for name in set(sys.modules) - before:
+        del sys.modules[name]
+
+
+def test_interleaved_pairs_load_two_distinct_packages(tmp_path, restored_modules):
+    bench = _load()
+    roots = {side: _fake_checkout(tmp_path / side, 0.001) for side in ("base", "head")}
+    before = set(sys.modules)
+    bench.interleaved(roots, 10, 1)
+    added = set(sys.modules) - before
+    assert "propeq" not in added
+    assert {name.split(".")[0] for name in added} == {"bench_base_propeq", "bench_head_propeq"}
+    base, head = (sys.modules[f"bench_{side}_propeq.harness"] for side in ("base", "head"))
+    assert base is not head
+    assert base.__file__ == str(roots["base"] / "src" / "propeq" / "harness.py")
+    assert head.__file__ == str(roots["head"] / "src" / "propeq" / "harness.py")
+
+
+@pytest.mark.parametrize("head_delay", [0.002, 0.003])
+def test_interleaved_pairs_resolve_an_injected_delay(tmp_path, restored_modules, head_delay):
+    bench = _load()
+    roots = {"base": _fake_checkout(tmp_path / "base", 0.002),
+             "head": _fake_checkout(tmp_path / "head", head_delay)}
+    got = bench.interleaved(roots, 20, 1)
+    assert got["pairs"] == 20
+    assert got["blind_to"] == ["setup_s", "import time", "peak RSS", "page faults"]
+    for kind in ("sweep", "simulate"):
+        ratio, blocks = got[kind]["ratio"], got[kind]["block_medians"]
+        assert len(ratio["runs"]) == 20 and len(blocks) == 10
+        if head_delay == 0.002:
+            # A/A: the same spin on both sides, whose medians differ by the
+            # timer's and the host's jitter, far below 10 %
+            assert abs(ratio["median"] - 1) < 0.1
+        else:
+            # a 50 % delay is found in every block, and head loses nearly every pair
+            assert min(blocks) > 1.25
+            assert got[kind]["wins"]["base"] >= 18
+            assert got[kind]["sign_test_p"] < 1e-3
+
+
+def test_bench_script_writes_its_interleaved_pairs(tmp_path, monkeypatch, restored_modules):
+    bench = _bench(tmp_path, monkeypatch)
+    for name in ("bb", "hh"):
+        _fake_checkout(tmp_path / name, 0.001)
+    monkeypatch.setattr(bench, "cold_simulate", lambda root: 1.0)
+    monkeypatch.setattr(bench, "run_once", lambda *args: (ENV, _result(1.0)))
+    assert bench.main(["7", "b", "h", "--pairs", "2", "--interleaved", "10"]) == 0
+    inter = json.loads((tmp_path / "BENCH_7.json").read_text())["interleaved"]
+    assert inter["pairs"] == 10
+    assert set(inter) == {"pairs", "warmups", "blind_to", "sweep", "simulate"}
+    assert set(inter["sweep"]) == {"ratio", "block_medians", "wins", "sign_test_p"}
+

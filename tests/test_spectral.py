@@ -18,7 +18,8 @@ from propeq import (
     forward_fft,
 )
 from propeq.signals import MAX_SAMPLES
-from propeq.spectral import BandIfft, band_offsets, root_powers
+from propeq.metrics import DDM_FREQS
+from propeq.spectral import BandIfft, band_offsets, dft_bins, dft_twiddles, root_powers
 
 import oracles
 from oracles import synth_ils, synth_tone, times
@@ -355,3 +356,22 @@ def test_a_band_with_no_centre_is_outside_nyquist(clock):
     object.__setattr__(band, "half_width_hz", 300.0)
     with pytest.raises(ValueError, match="Nyquist"):
         band_offsets(clock, band)
+
+
+# the DDM bins' twiddle periods nest on the default clock (1, 640 and 3200), do
+# not on a 36 kHz one (1, 240 and 400, lcm 1200), and are N on a prime clock
+DFT_CLOCKS = [(32000, 3200), (36000, 1200), (32003, 32003)]
+
+
+@pytest.mark.parametrize("n, fold", DFT_CLOCKS)
+def test_dft_bins_fold_once_and_match_the_fft(rng, n, fold):
+    clock = SampleClock(rate_hz=float(n), n_samples=n)
+    plan = dft_twiddles(clock, DDM_FREQS)
+    assert plan.fold == fold
+    assert sorted(table.shape[1] for _, table in plan.groups) == sorted(
+        {n // math.gcd(bin_index(clock, f), n) for f in DDM_FREQS})
+    idx = [bin_index(clock, f) for f in DDM_FREQS]
+    for x in (_random_buffer(clock, rng).samples, rng.standard_normal(n)):
+        # each bin sums N terms of about 1: roundoff about eps * N, far below 1e-9
+        np.testing.assert_allclose(dft_bins(plan, x), np.fft.fft(x)[idx], rtol=0, atol=1e-9)
+
