@@ -298,25 +298,16 @@ class Pipeline:
         Row 0 is the signal series, row 1 the tone band demodulated to a unit
         tone: for a run's received bins, its estimate g_hat. ``out`` is a
         C-contiguous complex (2, N) array. A tone too faint for its band
-        overflows here without a warning; the divider's |g_hat| pass rejects it.
+        overflows here without a warning; the divisor's checks of g_hat reject it.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             self._tone_ifft(tone * self._tone_gain, out[1])
         self._signal_ifft(signal, out[0])
         return out
 
-    def run(
-        self,
-        mod: Modulated,
-        noise: Noise,
-        parts: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[float, float]:
-        """(ddm_raw, ddm_eq) of one run: ``runs`` on a block of one.
-
-        ``parts`` are the ``series`` of ``mod``'s clean bins and of ``noise``'s
-        unit bins, which the run sums instead of making its own band IFFTs.
-        """
-        return self.runs(mod, [noise], None if parts is None else (parts[0], [parts[1]]))[0]
+    def run(self, mod: Modulated, noise: Noise) -> tuple[float, float]:
+        """(ddm_raw, ddm_eq) of one run: ``runs`` on a block of one."""
+        return self.runs(mod, [noise])[0]
 
     def equalized(self, mod: Modulated, noise: Noise) -> SampleBuffer:
         """The equalized capture of one run."""
@@ -342,11 +333,12 @@ class Pipeline:
         their finiteness, its raw DDM bins and tone-band energies. Then each
         run, in order, makes the checks of those with their own messages, and
         writes into one (2, N) workspace and one N-float buffer r, which every
-        run of the block reuses: g_hat into row 1, its squares into row 0's
-        floats, 1/max(|g_hat|^2, floor^2) into r (``equalizer.divisor``), its
-        signal series into row 0, and the quotient conj(g_hat)*s*r over g_hat.
-        Fresh arrays per run would be refaulted run after run. A tone too faint for its band overflows g_hat without a warning, and
-        the divisor rejects it; a non-finite quotient is found in its five DDM
+        run of the block reuses (fresh ones per run would be refaulted run
+        after run): g_hat into row 1, its squares into row 0's floats,
+        1/max(|g_hat|^2, floor^2) into r (``equalizer.divisor``), its signal
+        series into row 0, and the quotient conj(g_hat)*s*r over g_hat. A tone
+        too faint for its band overflows g_hat without a warning, and the
+        divisor rejects it; a non-finite quotient is found in its five DDM
         bins, since every sample enters every bin.
         """
         n, width = self.cfg.clock.n_samples, len(self._signal_idx)
@@ -367,6 +359,7 @@ class Pipeline:
             raw = signal[:, self._ddm_pos]
             energy = np.sum(_abs_square(tone), axis=1)
             total = np.square(mod.norm) + np.square(mod.scale * np.array([w.norm for w in block]))
+            clean, units = (None, None) if parts is None else parts
             for i in range(len(block)):
                 if not finite[i]:
                     check_finite(signal[i], "received bins")
@@ -376,14 +369,15 @@ class Pipeline:
                 if parts is None:
                     self._tone_ifft(tone[i] * self._tone_gain, g)
                 else:
-                    clean, units = parts
-                    np.multiply(units[i][1], mod.scale, out=g)  # unit * scale + clean, bit for bit
+                    # unit * scale on the float views: a complex multiply by
+                    # scale + 0j adds b*0 terms, which change only non-finite samples
+                    np.multiply(units[i][1].view(np.float64), mod.scale, out=g.view(np.float64))
                     g += clean[1]
                 divisor(g, self.cfg.reg.eps_rel, r, s.view(np.float64))
                 if parts is None:
                     self._signal_ifft(signal[i, :width], s)
                 else:
-                    np.multiply(units[i][0], mod.scale, out=s)
+                    np.multiply(units[i][0].view(np.float64), mod.scale, out=s.view(np.float64))
                     s += clean[0]
                 np.conjugate(g, out=g)
                 g *= s

@@ -489,7 +489,7 @@ def _corrupted_path(monkeypatch, attr, corrupt, path):
         n = pipe.cfg.clock.n_samples
         clean, unit = (pipe.series(b.signal, b.tone, np.empty((2, n), dtype=np.complex128))
                        for b in (mod, noise))
-        return pipe.run(mod, noise, (clean, unit))
+        return pipe.runs(mod, [noise], (clean, [unit]))[0]
     return pipe.equalized(mod, noise)
 
 
