@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import importlib.util
 import json
 import math
@@ -208,7 +207,7 @@ def load_package(src: Path, name: str):
     return pkg
 
 
-def interleaved(roots: dict[str, Path], pairs: int, seed: int, kinds: dict = KINDS) -> dict:
+def interleaved(roots: dict[str, Path], pairs: int, seed: int) -> dict:
     """Per kind, ``pairs`` in-process pairs of both checkouts' ``src/propeq``.
 
     Each side's package is loaded as ``bench_<side>_propeq``. For each kind,
@@ -222,7 +221,7 @@ def interleaved(roots: dict[str, Path], pairs: int, seed: int, kinds: dict = KIN
             for side in SIDES}
     draw = random.Random(seed)
     out = {}
-    for kind, call in kinds.items():
+    for kind, call in KINDS.items():
         for i in range(WARMUPS):
             for side in SIDES:
                 call(pkgs[side], i)

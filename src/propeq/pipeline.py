@@ -262,7 +262,7 @@ class Pipeline:
         ddm = [bin_index(clock, f) for f in DDM_FREQS]
         pos = [(k - n if k > n // 2 else k) - signal[0] for k in ddm]
         self._ddm_pos = [j if 0 <= j < len(signal) else len(signal) for j in pos]
-        self._ddm_dft = dft_twiddles(clock, DDM_FREQS)
+        self._ddm_twiddles = dft_twiddles(clock, DDM_FREQS)
         self._flag_idx = [bin_index(clock, f) for f in FLAG_FREQS]
         if cfg.channel.snr_db is None:  # one read-only zero noise stage serves every seed
             self._zero_noise = Noise(*(np.broadcast_to(0j, len(b)) for b in (signal, tone)), 0.0)
@@ -347,8 +347,9 @@ class Pipeline:
         r = np.empty(n)
         out = []
         with np.errstate(all="ignore"):
-            # clean + scale*unit, as each run once formed its own; the signal
-            # band has a 0 after it, which a DDM bin outside the band reads
+            # clean + scale*unit by the same complex ops as one run's bins, so the
+            # raw DDMs keep their bits; the signal band has a 0 after it, which a
+            # DDM bin outside the band reads
             signal = np.empty((len(block), width + 1), dtype=np.complex128)
             np.multiply(mod.scale, [w.signal for w in block], out=signal[:, :width])
             np.add(mod.signal, signal[:, :width], out=signal[:, :width])
@@ -385,7 +386,7 @@ class Pipeline:
                 if capture:
                     check_finite(g, "equalized samples")
                     return [g]
-                bins = dft_bins(self._ddm_dft, g)
+                bins = dft_bins(self._ddm_twiddles, g)
                 check_finite(bins, "equalized samples")
                 out.append((ddm_raw, compute_ddm(self._amplitudes(bins))))
         return out

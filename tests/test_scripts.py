@@ -8,11 +8,13 @@ import contextlib
 import importlib.util
 import json
 import os
+import random
 import runpy
 import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -397,17 +399,12 @@ def test_bench_script_removes_its_checkouts_when_stopped_by_sigterm(tmp_path):
     assert list(tmp_path.glob("bench-*")) == []
 
 
-# a fake propeq whose four calls spin for DELAY seconds; the top level imports
-# them relatively from a submodule, as propeq does
-_FAKE_HARNESS = """import time
+# a fake propeq whose calls take DELAY seconds of a fake clock (half that for
+# simulate); the top level imports them relatively from a submodule, as
+# propeq does
+_FAKE_HARNESS = """import bench_fake_clock
 
 from .delays import DELAY
-
-
-def _spin(seconds):
-    end = time.perf_counter() + seconds
-    while time.perf_counter() < end:
-        pass
 
 
 def default_scenario():
@@ -419,12 +416,30 @@ def scenario_with(cfg, f_p=None, seed=None):
 
 
 def sweep_fp(cfg, start, stop, step, seeds):
-    _spin(DELAY)
+    bench_fake_clock.advance(DELAY)
 
 
 def simulate(cfg):
-    _spin(DELAY / 2)
+    bench_fake_clock.advance(DELAY / 2)
 """
+
+
+class _FakeClock:
+    """The clock the script times with, advanced only by the fake packages' calls.
+
+    A call takes its delay times 1 + a seeded draw in [-0.2, 0.2], a host's
+    jitter without its preemptions, so every outcome is the same on every run.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.jitter = random.Random(7)
+
+    def perf_counter(self):
+        return self.now
+
+    def advance(self, seconds):
+        self.now += seconds * (1 + self.jitter.uniform(-0.2, 0.2))
 
 
 def _fake_checkout(root, delay):
@@ -437,17 +452,24 @@ def _fake_checkout(root, delay):
 
 
 @pytest.fixture()
-def restored_modules():
-    """Removes every module imported while the test ran."""
+def fake_clock(monkeypatch):
+    """A fake clock for the fake packages, whose modules are removed after the test."""
     before = set(sys.modules)
-    yield
-    for name in set(sys.modules) - before:
+    clock = _FakeClock()
+    monkeypatch.setitem(sys.modules, "bench_fake_clock", clock)
+    yield clock
+    for name in set(sys.modules) - before - {"bench_fake_clock"}:
         del sys.modules[name]
 
 
-def test_interleaved_pairs_load_two_distinct_packages(tmp_path, restored_modules):
-    bench = _load()
-    roots = {side: _fake_checkout(tmp_path / side, 0.001) for side in ("base", "head")}
+def _timed_by(bench, clock, monkeypatch):
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=clock.perf_counter))
+    return bench
+
+
+def test_interleaved_pairs_load_two_distinct_packages(tmp_path, monkeypatch, fake_clock):
+    bench = _timed_by(_load(), fake_clock, monkeypatch)
+    roots = {side: _fake_checkout(tmp_path / side, 1.0) for side in ("base", "head")}
     before = set(sys.modules)
     bench.interleaved(roots, 10, 1)
     added = set(sys.modules) - before
@@ -459,32 +481,33 @@ def test_interleaved_pairs_load_two_distinct_packages(tmp_path, restored_modules
     assert head.__file__ == str(roots["head"] / "src" / "propeq" / "harness.py")
 
 
-@pytest.mark.parametrize("head_delay", [0.002, 0.003])
-def test_interleaved_pairs_resolve_an_injected_delay(tmp_path, restored_modules, head_delay):
-    bench = _load()
-    roots = {"base": _fake_checkout(tmp_path / "base", 0.002),
+@pytest.mark.parametrize("head_delay", [1.0, 1.5])
+def test_interleaved_pairs_resolve_an_injected_delay(tmp_path, monkeypatch, fake_clock,
+                                                     head_delay):
+    bench = _timed_by(_load(), fake_clock, monkeypatch)
+    roots = {"base": _fake_checkout(tmp_path / "base", 1.0),
              "head": _fake_checkout(tmp_path / "head", head_delay)}
-    got = bench.interleaved(roots, 20, 1)
-    assert got["pairs"] == 20
+    got = bench.interleaved(roots, 40, 1)
+    assert got["pairs"] == 40
     assert got["blind_to"] == ["setup_s", "import time", "peak RSS", "page faults"]
     for kind in ("sweep", "simulate"):
         ratio, blocks = got[kind]["ratio"], got[kind]["block_medians"]
-        assert len(ratio["runs"]) == 20 and len(blocks) == 10
-        if head_delay == 0.002:
-            # A/A: the same spin on both sides, whose medians differ by the
-            # timer's and the host's jitter, far below 10 %
+        assert len(ratio["runs"]) == 40 and len(blocks) == 10
+        if head_delay == 1.0:
+            # A/A under +-20 % jitter per call: the median ratio stays within 10 %
             assert abs(ratio["median"] - 1) < 0.1
         else:
-            # a 50 % delay is found in every block, and head loses nearly every pair
-            assert min(blocks) > 1.25
-            assert got[kind]["wins"]["base"] >= 18
-            assert got[kind]["sign_test_p"] < 1e-3
+            # a 50 % delay is found in every block of 4 pairs, and head loses
+            # nearly every pair
+            assert ratio["median"] > 1.3 and min(blocks) > 1.15
+            assert got[kind]["wins"]["base"] >= 36
+            assert got[kind]["sign_test_p"] < 1e-6
 
 
-def test_bench_script_writes_its_interleaved_pairs(tmp_path, monkeypatch, restored_modules):
-    bench = _bench(tmp_path, monkeypatch)
+def test_bench_script_writes_its_interleaved_pairs(tmp_path, monkeypatch, fake_clock):
+    bench = _timed_by(_bench(tmp_path, monkeypatch), fake_clock, monkeypatch)
     for name in ("bb", "hh"):
-        _fake_checkout(tmp_path / name, 0.001)
+        _fake_checkout(tmp_path / name, 1.0)
     monkeypatch.setattr(bench, "cold_simulate", lambda root: 1.0)
     monkeypatch.setattr(bench, "run_once", lambda *args: (ENV, _result(1.0)))
     assert bench.main(["7", "b", "h", "--pairs", "2", "--interleaved", "10"]) == 0
