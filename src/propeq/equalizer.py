@@ -45,7 +45,7 @@ class RegPolicy:
 def divisor(g: np.ndarray, eps_rel: float, out: np.ndarray, squares: np.ndarray) -> np.ndarray:
     """r = 1/max(|g|^2, floor^2) with floor = eps_rel * max |g|, written to ``out``.
 
-    s * conj(g) * r is then the regularized quotient. |g|^2 is formed with
+    ``regularized_divide`` then makes the quotient. |g|^2 is formed with
     no hypot: ``g``'s float view is squared into ``squares`` (2N floats,
     which the caller may reuse afterwards) and each re^2, im^2 pair is added
     into ``out`` (N floats).
@@ -55,8 +55,8 @@ def divisor(g: np.ndarray, eps_rel: float, out: np.ndarray, squares: np.ndarray)
     energy exactly when max |g| > 0, so ``g`` is not scanned again unless
     one of those tests fails. On a finite ``g`` whose |g|^2 overflows, the
     floor is taken from |g| itself. It enters no ``np.errstate``: call it
-    under one that ignores overflow and invalid operations, as
-    ``regularized_divide`` and the engine's run kernel do.
+    under one that ignores overflow and invalid operations, as the engine's
+    run kernel does, then ``regularized_divide``.
 
     Raises:
         ValueError: ``g`` is not finite or carries no energy.
@@ -74,28 +74,18 @@ def divisor(g: np.ndarray, eps_rel: float, out: np.ndarray, squares: np.ndarray)
     return np.reciprocal(out, out=out)
 
 
-def regularized_divide(
-    s: np.ndarray, g: np.ndarray, eps_rel: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """s * conj(g) / max(|g|^2, floor^2) with floor = eps_rel * max |g|.
+def regularized_divide(s: np.ndarray, g: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """s * conj(g) / max(|g|^2, floor^2), written over ``g``, where r = ``divisor(g, ...)``.
 
-    The quotient is written to ``out`` if given, which may be ``g`` itself:
-    every step is elementwise, so the bits are those of a fresh array. The
-    floor, its checks of ``g`` and the reciprocal are ``divisor``'s; numpy
-    divides by the complex c + 0j as a * (1/c), so multiplying by that
-    reciprocal gives the quotient bit for bit. The quotient itself is not
-    checked, and its overflows raise no warning: the caller rejects a
+    numpy divides by the complex c + 0j as a * (1/c), so multiplying by the
+    reciprocal r gives the quotient bit for bit. Like ``divisor``, it enters
+    no ``np.errstate``. The quotient is not checked: the caller rejects a
     non-finite one.
-
-    Raises:
-        ValueError: ``g`` is not finite or carries no energy.
     """
-    with np.errstate(all="ignore"):
-        r = divisor(g, eps_rel, np.empty(g.shape), np.empty(2 * g.size))
-        out = np.conjugate(g, out=out)
-        out *= s
-        out *= r
-    return out
+    np.conjugate(g, out=g)
+    g *= s
+    g *= r
+    return g
 
 
 def flag_blind_spots(

@@ -24,10 +24,11 @@ computes each product once, at the outermost layer it depends on:
   (``Pipeline.runs``), which stacks the block's received band bins and reads
   their finiteness, the raw DDM bins and the tone-band energies at once,
   and allocates one (2, N) workspace and one N-float buffer r;
-* per run: g_hat = g_c + scale*g_w into row 1 of the workspace, its squares
-  into row 0's floats, 1/max(|g_hat|^2, floor^2) into r, then
-  s = s_c + scale*s_w into row 0 and the quotient conj(g_hat)*s*r over
-  g_hat, and a DFT of its five DDM bins from one fold. A run that shares no
+* per run (``Pipeline._quotient``): g_hat = g_c + scale*g_w into row 1 of
+  the workspace, its squares into row 0's floats, 1/max(|g_hat|^2, floor^2)
+  into r (``equalizer.divisor``), then s = s_c + scale*s_w into row 0 and
+  the quotient conj(g_hat)*s*r over g_hat (``equalizer.regularized_divide``),
+  and a DFT of its five DDM bins from one fold. A run that shares no
   series makes its tone IFFT in g_hat's place and its signal IFFT in s's.
   A run allocates no N-length array.
 
@@ -65,7 +66,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,7 +76,7 @@ from .channel import (
     power_noise_scale,
     unit_noise,
 )
-from .equalizer import FLAG_FREQS, divisor, flag_blind_spots
+from .equalizer import FLAG_FREQS, divisor, flag_blind_spots, regularized_divide
 from .errors import ToneAbsentError
 from .metrics import DDM_FREQS, amplitudes_from_bins, compute_ddm
 from .signals import SampleBuffer, SampleClock, check_finite
@@ -137,6 +138,17 @@ class Noise:
     signal: np.ndarray
     tone: np.ndarray
     norm: float
+
+
+class _Received(NamedTuple):
+    """A block's received band bins, one row per run, and what its runs check in them."""
+
+    signal: np.ndarray  # the signal band with a 0 after it, which a DDM bin outside the band reads
+    tone: np.ndarray
+    finite: np.ndarray  # whether each run's bins are all finite
+    raw: np.ndarray  # each run's raw DDM bins
+    energy: np.ndarray  # each run's tone-band energy
+    total: np.ndarray  # each run's received energy, ||S||^2 + scale^2*||W||^2
 
 
 def _transmit(cfg: ScenarioConfig) -> tuple[list[tuple[int, complex]], np.ndarray]:
@@ -310,86 +322,116 @@ class Pipeline:
         return self.runs(mod, [noise])[0]
 
     def equalized(self, mod: Modulated, noise: Noise) -> SampleBuffer:
-        """The equalized capture of one run."""
-        return SampleBuffer(self.cfg.clock, self.runs(mod, [noise], capture=True)[0])
+        """The equalized capture of one run: the kernel's quotient, on a block of one."""
+        n = self.cfg.clock.n_samples
+        with np.errstate(all="ignore"):
+            rx = self._receive(mod, [noise])
+            q = self._quotient(mod, rx, 0, None, np.empty((2, n), dtype=np.complex128),
+                               np.empty(n))
+        check_finite(q, "equalized samples")
+        return SampleBuffer(self.cfg.clock, q)
 
     def runs(
         self,
         mod: Modulated,
         block: Sequence[Noise],
-        parts: tuple[np.ndarray, np.ndarray] | None = None,
-        capture: bool = False,
-    ) -> list:
+        parts: tuple[np.ndarray, Sequence[np.ndarray]] | None = None,
+    ) -> list[tuple[float, float]]:
         """(ddm_raw, ddm_eq) of the run of ``mod`` with each noise stage of ``block``, in order.
 
         ``parts`` are the ``series`` of ``mod``'s clean bins, a (2, N) array,
         and a sequence of the ``series`` of each stage's unit bins. Given them,
         a run's series are clean + scale*unit, which by linearity equals the
         band IFFTs of its received bins to roundoff; otherwise each run makes
-        those IFFTs. With ``capture``, the one run's checked quotient is
-        returned in a list instead, and its raw DDM is not read.
+        those IFFTs.
 
-        The block's small arrays are formed once: its received band bins,
-        their finiteness, its raw DDM bins and tone-band energies. Then each
-        run, in order, makes the checks of those with their own messages, and
-        writes into one (2, N) workspace and one N-float buffer r, which every
-        run of the block reuses (fresh ones per run would be refaulted run
-        after run): g_hat into row 1, its squares into row 0's floats,
-        1/max(|g_hat|^2, floor^2) into r (``equalizer.divisor``), its signal
-        series into row 0, and the quotient conj(g_hat)*s*r over g_hat. A tone
-        too faint for its band overflows g_hat without a warning, and the
-        divisor rejects it; a non-finite quotient is found in its five DDM
-        bins, since every sample enters every bin.
+        The block's small arrays are formed once (``_receive``). Then each
+        run, in order, reads its raw DDM, and ``_quotient`` makes its checks
+        and its quotient in one (2, N) workspace and one N-float buffer r,
+        which every run of the block reuses (fresh ones per run would be
+        refaulted run after run). The quotient's five DDM bins come from one
+        fold; a non-finite quotient is found there, since every sample enters
+        every bin.
         """
-        n, width = self.cfg.clock.n_samples, len(self._signal_idx)
-        ws = np.empty((2, n), dtype=np.complex128)
-        s, g = ws
-        r = np.empty(n)
+        n = self.cfg.clock.n_samples
+        ws, r = np.empty((2, n), dtype=np.complex128), np.empty(n)
         out = []
         with np.errstate(all="ignore"):
-            # clean + scale*unit by the same complex ops as one run's bins, so the
-            # raw DDMs keep their bits; the signal band has a 0 after it, which a
-            # DDM bin outside the band reads
-            signal = np.empty((len(block), width + 1), dtype=np.complex128)
-            np.multiply(mod.scale, [w.signal for w in block], out=signal[:, :width])
-            np.add(mod.signal, signal[:, :width], out=signal[:, :width])
-            signal[:, width] = 0
-            tone = np.multiply(mod.scale, [w.tone for w in block])
-            np.add(mod.tone, tone, out=tone)
-            finite = np.isfinite(signal).all(axis=1) & np.isfinite(tone).all(axis=1)
-            raw = signal[:, self._ddm_pos]
-            energy = np.sum(_abs_square(tone), axis=1)
-            total = np.square(mod.norm) + np.square(mod.scale * np.array([w.norm for w in block]))
-            clean, units = (None, None) if parts is None else parts
+            rx = self._receive(mod, block)
             for i in range(len(block)):
-                if not finite[i]:
-                    check_finite(signal[i], "received bins")
-                    check_finite(tone[i], "received bins")
-                ddm_raw = None if capture else compute_ddm(self._amplitudes(raw[i]))
-                self._check_tone_energy(energy[i], total[i])
-                if parts is None:
-                    self._tone_ifft(tone[i] * self._tone_gain, g)
-                else:
-                    # unit * scale on the float views: a complex multiply by
-                    # scale + 0j adds b*0 terms, which change only non-finite samples
-                    np.multiply(units[i][1].view(np.float64), mod.scale, out=g.view(np.float64))
-                    g += clean[1]
-                divisor(g, self.cfg.reg.eps_rel, r, s.view(np.float64))
-                if parts is None:
-                    self._signal_ifft(signal[i, :width], s)
-                else:
-                    np.multiply(units[i][0].view(np.float64), mod.scale, out=s.view(np.float64))
-                    s += clean[0]
-                np.conjugate(g, out=g)
-                g *= s
-                g *= r
-                if capture:
-                    check_finite(g, "equalized samples")
-                    return [g]
-                bins = dft_bins(self._ddm_twiddles, g)
+                # received bins that are not finite fail _quotient's first
+                # check, which comes before the raw DDM's
+                ddm_raw = compute_ddm(self._amplitudes(rx.raw[i])) if rx.finite[i] else math.nan
+                bins = dft_bins(self._ddm_twiddles, self._quotient(mod, rx, i, parts, ws, r))
                 check_finite(bins, "equalized samples")
                 out.append((ddm_raw, compute_ddm(self._amplitudes(bins))))
         return out
+
+    def _receive(self, mod: Modulated, block: Sequence[Noise]) -> _Received:
+        """The block's received band bins, stacked, and what its runs check in them.
+
+        Each run's bins are clean + scale*unit by the same complex ops as one
+        run's alone, so the raw DDMs keep their bits. Its caller ignores
+        overflow, which the runs' checks reject.
+        """
+        width = len(self._signal_idx)
+        signal = np.empty((len(block), width + 1), dtype=np.complex128)
+        np.multiply(mod.scale, [w.signal for w in block], out=signal[:, :width])
+        np.add(mod.signal, signal[:, :width], out=signal[:, :width])
+        signal[:, width] = 0
+        tone = np.multiply(mod.scale, [w.tone for w in block])
+        np.add(mod.tone, tone, out=tone)
+        return _Received(
+            signal=signal,
+            tone=tone,
+            finite=np.isfinite(signal).all(axis=1) & np.isfinite(tone).all(axis=1),
+            raw=signal[:, self._ddm_pos],
+            energy=np.sum(_abs_square(tone), axis=1),
+            total=np.square(mod.norm) + np.square(mod.scale * np.array([w.norm for w in block])),
+        )
+
+    def _quotient(
+        self,
+        mod: Modulated,
+        rx: _Received,
+        i: int,
+        parts: tuple[np.ndarray, Sequence[np.ndarray]] | None,
+        ws: np.ndarray,
+        r: np.ndarray,
+    ) -> np.ndarray:
+        """Run ``i`` of ``rx``'s block, checked and divided: its quotient, in row 1 of ``ws``.
+
+        The run's received bins are checked with their own messages. Then
+        g_hat goes into row 1 of ``ws``, its squares into row 0's floats,
+        1/max(|g_hat|^2, floor^2) into r (``equalizer.divisor``), the signal
+        series into row 0, and the quotient conj(g_hat)*s*r over g_hat
+        (``equalizer.regularized_divide``). A run that shares no series makes
+        its tone IFFT in g_hat's place and its signal IFFT in s's. A tone too
+        faint for its band overflows g_hat, and the divisor rejects it. The
+        quotient is not checked; its caller ignores overflow and invalid
+        operations.
+        """
+        signal, tone = rx.signal[i, :-1], rx.tone[i]
+        if not rx.finite[i]:
+            check_finite(signal, "received bins")
+            check_finite(tone, "received bins")
+        self._check_tone_energy(rx.energy[i], rx.total[i])
+        s, g = ws
+        if parts is None:
+            self._tone_ifft(tone * self._tone_gain, g)
+        else:
+            clean, units = parts
+            # unit * scale on the float views: a complex multiply by
+            # scale + 0j adds b*0 terms, which change only non-finite samples
+            np.multiply(units[i][1].view(np.float64), mod.scale, out=g.view(np.float64))
+            g += clean[1]
+        divisor(g, self.cfg.reg.eps_rel, r, s.view(np.float64))
+        if parts is None:
+            self._signal_ifft(signal, s)
+        else:
+            np.multiply(units[i][0].view(np.float64), mod.scale, out=s.view(np.float64))
+            s += clean[0]
+        return regularized_divide(s, g, r)
 
     def _amplitudes(self, bins: np.ndarray):
         return amplitudes_from_bins(bins, self.cfg.clock.n_samples)
@@ -450,9 +492,10 @@ def sweep(
 
     A rate of None keeps the scenario's own propeller rates. Each rate's
     ``Modulated`` is built once, then each seed block runs one task per rate,
-    a call of the run kernel ``Pipeline.runs`` on the block; with ``workers`` > 1 the tasks run on threads that share the read-only
-    scenario and noise products, and their results are read in grid order,
-    so every number is the same as in a serial sweep.
+    a call of the run kernel ``Pipeline.runs`` on the block; with ``workers``
+    > 1 the tasks run on threads that share the read-only scenario and noise
+    products, and their results are read in grid order, so every number is
+    the same as in a serial sweep.
 
     With more than one rate, and blocks of ``seeds_per_block`` that hold two
     or more seeds, each block's noise series are made once,

@@ -21,13 +21,20 @@ from propeq import (
     run_single,
     sweep_fp,
 )
-from propeq.equalizer import regularized_divide
+from propeq.equalizer import divisor, regularized_divide
 from propeq.pipeline import Pipeline
 
 import oracles
 from oracles import rms, square_partial_sum, synth_ils, synth_tone, times
 
 SIG_BAND = BandSpec(0.0, 300.0)
+
+
+def divide(s, g, eps_rel):
+    """s divided by g as a run divides them: ``divisor``, then the quotient over a copy of g."""
+    q = g.copy()
+    with np.errstate(all="ignore"):
+        return regularized_divide(s, q, divisor(q, eps_rel, np.empty(q.size), np.empty(2 * q.size)))
 
 
 def one_prop(shape, f_p=30.0, phase=0.0, snr_db=None, rng_seed=0):
@@ -118,7 +125,7 @@ def test_regularization_neutral_when_unneeded(clock):
     bins = oracles.received(cfg)
     g = oracles.g_hat(cfg, bins)
     s_band = np.fft.ifft(oracles.in_band(bins, clock, SIG_BAND))
-    out = regularized_divide(s_band, g, 1e-3)
+    out = divide(s_band, g, 1e-3)
     plain = s_band / g
     assert np.max(np.abs(out - plain)) <= 1e-15 * np.max(np.abs(plain))
 
@@ -128,35 +135,27 @@ def test_regularization_bounds_small_denominators(small_clock):
     g[:10] = 1e-9
     ils = np.fft.fft(synth_ils(IlsParams(), small_clock).samples)
     s_band = np.fft.ifft(oracles.in_band(ils, small_clock, SIG_BAND))
-    out = regularized_divide(s_band, g, 1e-3)
+    out = divide(s_band, g, 1e-3)
     assert np.all(np.isfinite(out))
     assert np.max(np.abs(out)) < 1e7
 
 
-def test_regularized_divide_writes_only_its_result():
-    # every seed of a sweep block divides by series built from the same
-    # clean series, so the divider may not write into its inputs
+def test_division_writes_only_its_buffers():
+    # a run's series are sums of a block's shared clean and unit series, so
+    # the division may write only its own buffers and, with the quotient, g
     rng = np.random.default_rng(0)
     s, g = (rng.standard_normal(256) + 1j * rng.standard_normal(256) for _ in range(2))
     g[:10] = 1e-9  # the floor binds here
     s_before, g_before = s.copy(), g.copy()
-    out = regularized_divide(s, g, 1e-3)
-    np.testing.assert_array_equal(s, s_before)
+    r = divisor(g, 1e-3, np.empty(256), np.empty(512))
     np.testing.assert_array_equal(g, g_before)
-    assert not np.shares_memory(out, s) and not np.shares_memory(out, g)
-
-
-@pytest.mark.parametrize("into_g", [True, False])
-def test_regularized_divide_into_out_is_the_fresh_quotient(into_g):
-    # a run writes its quotient over its own g_hat row; the bits must not move
-    rng = np.random.default_rng(1)
-    s, g = (rng.standard_normal(256) + 1j * rng.standard_normal(256) for _ in range(2))
-    g[:10] = 1e-9  # the floor binds here
-    want = regularized_divide(s, g, 1e-3)
-    out = g.copy() if into_g else np.empty_like(g)
-    got = regularized_divide(s, out if into_g else g, 1e-3, out=out)
-    assert got is out
-    assert np.array_equal(got, want)
+    r_before = r.copy()
+    assert regularized_divide(s, g, r) is g
+    np.testing.assert_array_equal(s, s_before)
+    np.testing.assert_array_equal(r, r_before)
+    floor_sq = (1e-3 * np.abs(g_before).max()) ** 2
+    want = s_before * np.conj(g_before) / np.maximum(np.abs(g_before) ** 2, floor_sq)
+    assert np.max(np.abs(g - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @settings(max_examples=15)
