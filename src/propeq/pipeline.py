@@ -324,10 +324,9 @@ class Pipeline:
     def equalized(self, mod: Modulated, noise: Noise) -> SampleBuffer:
         """The equalized capture of one run: the kernel's quotient, on a block of one."""
         n = self.cfg.clock.n_samples
+        ws, r = np.empty((2, n), dtype=np.complex128), np.empty(n)
         with np.errstate(all="ignore"):
-            rx = self._receive(mod, [noise])
-            q = self._quotient(mod, rx, 0, None, np.empty((2, n), dtype=np.complex128),
-                               np.empty(n))
+            q = self._quotient(mod, self._receive(mod, [noise]), 0, None, ws, r)
         check_finite(q, "equalized samples")
         return SampleBuffer(self.cfg.clock, q)
 
@@ -399,17 +398,13 @@ class Pipeline:
         ws: np.ndarray,
         r: np.ndarray,
     ) -> np.ndarray:
-        """Run ``i`` of ``rx``'s block, checked and divided: its quotient, in row 1 of ``ws``.
+        """Run ``i`` of ``rx``'s block from its checks to its quotient, in row 1 of ``ws``.
 
-        The run's received bins are checked with their own messages. Then
-        g_hat goes into row 1 of ``ws``, its squares into row 0's floats,
-        1/max(|g_hat|^2, floor^2) into r (``equalizer.divisor``), the signal
-        series into row 0, and the quotient conj(g_hat)*s*r over g_hat
-        (``equalizer.regularized_divide``). A run that shares no series makes
-        its tone IFFT in g_hat's place and its signal IFFT in s's. A tone too
-        faint for its band overflows g_hat, and the divisor rejects it. The
-        quotient is not checked; its caller ignores overflow and invalid
-        operations.
+        The steps are the module docstring's per-run list; given no ``parts``,
+        the tone IFFT goes in g_hat's place and the signal IFFT in s's. The
+        caller ignores overflow and invalid operations: a tone too faint for
+        its band overflows g_hat, which the divisor rejects, and the quotient
+        is left for the caller to check.
         """
         signal, tone = rx.signal[i, :-1], rx.tone[i]
         if not rx.finite[i]:
