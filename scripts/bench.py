@@ -21,10 +21,11 @@ first is drawn per pair from a shuffled, balanced list (seeded by
 
 With ``--interleaved K``, after the pairs, both checkouts' ``src/propeq``
 are imported into this process under two package names, and K in-process
-pairs of each kind in ``KINDS`` (the default library sweep, and one
-``simulate`` of a new scenario) are timed, in an order drawn per pair (see
-``interleaved``). Neighbouring operations share the host's state, so drift
-cancels and a change of a few per cent is resolved. Both sides share one
+pairs of each kind in ``KINDS`` (the default library sweep, one
+``simulate`` of a new scenario, and the multiprop sweep on 2 threads) are
+timed, in an order drawn per pair (see ``interleaved``). Neighbouring
+operations share the host's state, so drift cancels and a change of a few
+per cent is resolved. Both sides share one
 process, one heap and one numpy, so these pairs cannot see ``setup_s``,
 import time, peak RSS or page faults; the benchmark pairs above remain the
 basis of every claim.
@@ -67,12 +68,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "head")
 HOST = ("numpy", "python", "cpu_count", "cpu_model")
-# the in-process operations of ``--interleaved``: the i-th pair's call on a package
+
+
+def multiprop_sweep(pkg):
+    """The ``report_multiprop_w2`` workload's 2-worker sweep, its config loaded untimed."""
+    cfg = pkg.load_config(ROOT / "perfbench" / "multiprop.json")
+    return lambda i: pkg.sweep_fp(cfg, 15.0, 40.0, 1.0, seeds=list(range(10)), workers=2)
+
+
+# the in-process operations of ``--interleaved``: per package, the call of the i-th pair
 KINDS = {
-    "sweep": lambda pkg, i: pkg.sweep_fp(pkg.default_scenario(), 15.0, 40.0, 0.5,
-                                          seeds=list(range(10))),
-    "simulate": lambda pkg, i: pkg.simulate(
+    "sweep": lambda pkg: lambda i: pkg.sweep_fp(pkg.default_scenario(), 15.0, 40.0, 0.5,
+                                                 seeds=list(range(10))),
+    "simulate": lambda pkg: lambda i: pkg.simulate(
         pkg.scenario_with(pkg.default_scenario(), f_p=15.0 + i % 51 * 0.5, seed=i)),
+    "multiprop_w2": multiprop_sweep,
 }
 BLOCKS = 10  # an interleaved kind's pairs are split into this many blocks
 WARMUPS = 3  # untimed calls of each kind and side before its pairs
@@ -211,7 +221,8 @@ def interleaved(roots: dict[str, Path], pairs: int, seed: int) -> dict:
     """Per kind, ``pairs`` in-process pairs of both checkouts' ``src/propeq``.
 
     Each side's package is loaded as ``bench_<side>_propeq``. For each kind,
-    after ``WARMUPS`` untimed calls per side, pair i calls both sides with i,
+    each side's call is made from its package untimed, then after
+    ``WARMUPS`` untimed calls per side, pair i calls both sides with i,
     in an order drawn from a generator seeded by ``seed``. Per kind: each
     pair's ratio head/base (``summary``), the medians of ``BLOCKS`` blocks of
     consecutive pairs, the pairs each side won and the sign test of those
@@ -221,16 +232,17 @@ def interleaved(roots: dict[str, Path], pairs: int, seed: int) -> dict:
             for side in SIDES}
     draw = random.Random(seed)
     out = {}
-    for kind, call in KINDS.items():
+    for kind, make in KINDS.items():
+        call = {side: make(pkgs[side]) for side in SIDES}
         for i in range(WARMUPS):
             for side in SIDES:
-                call(pkgs[side], i)
+                call[side](i)
         ratios = []
         for i in range(pairs):
             took = {}
             for side in draw.sample(SIDES, len(SIDES)):
                 start = time.perf_counter()
-                call(pkgs[side], i)
+                call[side](i)
                 took[side] = time.perf_counter() - start
             ratios.append(took["head"] / took["base"])
         blocks = [ratios[pairs * b // BLOCKS : pairs * (b + 1) // BLOCKS] for b in range(BLOCKS)]

@@ -11,19 +11,19 @@ computes each product once, at the outermost layer it depends on:
 * per rate (``Modulated``): the modulator's spectrum M and mean|tx*m|^2
   (``_chop_spectrum``); the band bins of FFT(tx*m)[j] = sum_k c_k M[j-k]
   (``_line_sum``); from that power the noise scale and, by Parseval,
-  ||FFT(tx*m)||; and the blind-spot flags, read from M at 0, 90 and 150 Hz.
-  Then, once per seed block, the two band series of those clean bins (s_c,
-  g_c; see ``Pipeline.series``);
-* per seed (``Noise``): the unit noise spectrum W, of which only the band
-  bins and the norm are kept (a noiseless scenario's is zero, for any seed);
-* per seed block: the two band series of each seed's unit noise bins (s_w,
-  g_w). A block holds as many seeds as ``NOISE_BLOCK_BYTES`` allows, 5 on the
-  default 32000-point clock, so the engine holds O(N x block + seeds x band
-  bins), never a seeds x N table;
+  ||FFT(tx*m)||; and the blind-spot flags, read from M at 0, 90 and 150 Hz;
+* per seed block, drawn when the block runs: each seed's unit noise
+  spectrum W, of which only the band bins and the norm are kept (``Noise``;
+  a noiseless scenario's is zero, for any seed), and the two band series of
+  its unit bins (s_w, g_w) in one held buffer. Every sweep runs blocks of
+  ``seeds_per_block``, 5 seeds on the default 32000-point clock, so the
+  engine holds O(N x block + block x band bins), never a seeds x N table;
 * per (seed block, rate) task: one call of the run kernel
-  (``Pipeline.runs``), which stacks the block's received band bins and reads
-  their finiteness, the raw DDM bins and the tone-band energies at once,
-  and allocates one (2, N) workspace and one N-float buffer r;
+  (``Pipeline.runs``), which makes the two band series of the rate's clean
+  bins (s_c, g_c; see ``Pipeline.series``), stacks the block's received
+  band bins and reads their finiteness, the raw DDM bins and the tone-band
+  energies at once, and allocates one (2, N) workspace and one N-float
+  buffer r;
 * per run (``Pipeline._quotient``): g_hat = g_c + scale*g_w into row 1 of
   the workspace, its squares into row 0's floats, 1/max(|g_hat|^2, floor^2)
   into r (``equalizer.divisor``), then s = s_c + scale*s_w into row 0 and
@@ -115,7 +115,7 @@ def check_runs(rates: int, seeds: int) -> None:
 
 
 def seeds_per_block(n: int) -> int:
-    """How many seeds' noise series of ``n`` samples a sweep holds at once."""
+    """How many seeds every sweep's block holds on ``n`` samples: as many noise series as fit."""
     return max(1, NOISE_BLOCK_BYTES // (2 * n * np.dtype(np.complex128).itemsize))
 
 
@@ -317,16 +317,12 @@ class Pipeline:
         self._signal_ifft(signal, out[0])
         return out
 
-    def run(self, mod: Modulated, noise: Noise) -> tuple[float, float]:
-        """(ddm_raw, ddm_eq) of one run: ``runs`` on a block of one."""
-        return self.runs(mod, [noise])[0]
-
     def equalized(self, mod: Modulated, noise: Noise) -> SampleBuffer:
         """The equalized capture of one run: the kernel's quotient, on a block of one."""
         n = self.cfg.clock.n_samples
         ws, r = np.empty((2, n), dtype=np.complex128), np.empty(n)
         with np.errstate(all="ignore"):
-            q = self._quotient(mod, self._receive(mod, [noise]), 0, None, ws, r)
+            q = self._quotient(mod, self._receive(mod, [noise]), 0, ws, r)
         check_finite(q, "equalized samples")
         return SampleBuffer(self.cfg.clock, q)
 
@@ -334,15 +330,15 @@ class Pipeline:
         self,
         mod: Modulated,
         block: Sequence[Noise],
-        parts: tuple[np.ndarray, Sequence[np.ndarray]] | None = None,
+        units: Sequence[np.ndarray] | None = None,
     ) -> list[tuple[float, float]]:
         """(ddm_raw, ddm_eq) of the run of ``mod`` with each noise stage of ``block``, in order.
 
-        ``parts`` are the ``series`` of ``mod``'s clean bins, a (2, N) array,
-        and a sequence of the ``series`` of each stage's unit bins. Given them,
-        a run's series are clean + scale*unit, which by linearity equals the
-        band IFFTs of its received bins to roundoff; otherwise each run makes
-        those IFFTs.
+        ``units``, the sweep's held buffer, holds the ``series`` of each
+        stage's unit bins in order. Given it, the kernel makes the ``series``
+        of ``mod``'s clean bins, and a run's series are clean + scale*unit,
+        which by linearity equals the band IFFTs of its received bins to
+        roundoff; otherwise each run makes those IFFTs.
 
         The block's small arrays are formed once (``_receive``). Then each
         run, in order, reads its raw DDM, and ``_quotient`` makes its checks
@@ -353,6 +349,8 @@ class Pipeline:
         every bin.
         """
         n = self.cfg.clock.n_samples
+        clean = None if units is None else self.series(
+            mod.signal, mod.tone, np.empty((2, n), dtype=np.complex128))
         ws, r = np.empty((2, n), dtype=np.complex128), np.empty(n)
         out = []
         with np.errstate(all="ignore"):
@@ -361,7 +359,7 @@ class Pipeline:
                 # received bins that are not finite fail _quotient's first
                 # check, which comes before the raw DDM's
                 ddm_raw = compute_ddm(self._amplitudes(rx.raw[i])) if rx.finite[i] else math.nan
-                bins = dft_bins(self._ddm_twiddles, self._quotient(mod, rx, i, parts, ws, r))
+                bins = dft_bins(self._ddm_twiddles, self._quotient(mod, rx, i, ws, r, clean, units))
                 check_finite(bins, "equalized samples")
                 out.append((ddm_raw, compute_ddm(self._amplitudes(bins))))
         return out
@@ -394,17 +392,19 @@ class Pipeline:
         mod: Modulated,
         rx: _Received,
         i: int,
-        parts: tuple[np.ndarray, Sequence[np.ndarray]] | None,
         ws: np.ndarray,
         r: np.ndarray,
+        clean: np.ndarray | None = None,
+        units: Sequence[np.ndarray] | None = None,
     ) -> np.ndarray:
         """Run ``i`` of ``rx``'s block from its checks to its quotient, in row 1 of ``ws``.
 
-        The steps are the module docstring's per-run list; given no ``parts``,
-        the tone IFFT goes in g_hat's place and the signal IFFT in s's. The
-        caller ignores overflow and invalid operations: a tone too faint for
-        its band overflows g_hat, which the divisor rejects, and the quotient
-        is left for the caller to check.
+        The steps are the module docstring's per-run list, with the series
+        clean + scale*units[i]; given no ``clean``, the tone IFFT goes in
+        g_hat's place and the signal IFFT in s's. The caller ignores overflow
+        and invalid operations: a tone too faint for its band overflows
+        g_hat, which the divisor rejects, and the quotient is left for the
+        caller to check.
         """
         signal, tone = rx.signal[i, :-1], rx.tone[i]
         if not rx.finite[i]:
@@ -412,16 +412,15 @@ class Pipeline:
             check_finite(tone, "received bins")
         self._check_tone_energy(rx.energy[i], rx.total[i])
         s, g = ws
-        if parts is None:
+        if clean is None:
             self._tone_ifft(tone * self._tone_gain, g)
         else:
-            clean, units = parts
             # unit * scale on the float views: a complex multiply by
             # scale + 0j adds b*0 terms, which change only non-finite samples
             np.multiply(units[i][1].view(np.float64), mod.scale, out=g.view(np.float64))
             g += clean[1]
         divisor(g, self.cfg.reg.eps_rel, r, s.view(np.float64))
-        if parts is None:
+        if clean is None:
             self._signal_ifft(signal, s)
         else:
             np.multiply(units[i][0].view(np.float64), mod.scale, out=s.view(np.float64))
@@ -485,18 +484,17 @@ def sweep(
 ) -> SweepResult:
     """One ``RunResult`` per (rate, seed) and one ``FpSummary`` per rate, in grid order.
 
-    A rate of None keeps the scenario's own propeller rates. Each rate's
-    ``Modulated`` is built once, then each seed block runs one task per rate,
-    a call of the run kernel ``Pipeline.runs`` on the block; with ``workers``
-    > 1 the tasks run on threads that share the read-only scenario and noise
+    A rate of None keeps the scenario's own propeller rates. Every seed is
+    checked, then each rate's ``Modulated`` is built once. Then each block of
+    ``seeds_per_block`` seeds draws its noise stages and runs one task per
+    rate, a call of the run kernel ``Pipeline.runs``; with ``workers`` > 1
+    the tasks run on threads that share the read-only scenario and noise
     products, and their results are read in grid order, so every number is
     the same as in a serial sweep.
 
-    With more than one rate, and blocks of ``seeds_per_block`` that hold two
-    or more seeds, each block's noise series are made once,
-    then each rate's task makes its clean series once for the block, and
-    every run sums the two. Otherwise nothing is shared, there is one block,
-    and each run makes its own band IFFTs.
+    With two or more rates and two or more seeds in a block, the block's
+    unit noise series go into one held buffer, which the kernel sums with
+    each rate's clean series; otherwise each run makes its own band IFFTs.
     """
     if len(seeds) == 0:
         raise ValueError("seeds must be non-empty")
@@ -506,19 +504,13 @@ def sweep(
         raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
     check_runs(len(rates), len(seeds))
     pipe = Pipeline(cfg)
-    noises = [pipe.noise(s) for s in seeds]
+    for seed in seeds:  # a bad seed is rejected before any rate is modulated
+        check_seed(seed)
     n = cfg.clock.n_samples
-    held = min(seeds_per_block(n), len(seeds)) if len(rates) > 1 else 1
-    size = held if held > 1 else len(seeds)
+    size = min(seeds_per_block(n), len(seeds))
     # shared: one block's unit noise series, reused by every block (fresh
     # arrays per block cost a default sweep a hundred times the page faults)
-    units = np.empty((held, 2, n), dtype=np.complex128) if held > 1 else None
-
-    def task(block, block_units, mod):
-        if block_units is None:
-            return pipe.runs(mod, block)
-        clean = pipe.series(mod.signal, mod.tone, np.empty((2, n), dtype=np.complex128))
-        return pipe.runs(mod, block, (clean, block_units))
+    units = np.empty((size, 2, n), dtype=np.complex128) if len(rates) > 1 and size > 1 else None
 
     per_rate: list[list[tuple[float, float]]] = [[] for _ in rates]
     k = min(workers, len(rates))
@@ -528,11 +520,12 @@ def sweep(
         each = pool.map if k > 1 else map
         mods = list(each(pipe.modulate, rates))
         for b in range(0, len(seeds), size):
-            block = noises[b : b + size]
-            block_units = None if units is None else [
-                pipe.series(w.signal, w.tone, u) for w, u in zip(block, units)
-            ]
-            for acc, r in zip(per_rate, each(functools.partial(task, block, block_units), mods)):
+            block = [pipe.noise(s) for s in seeds[b : b + size]]
+            if units is not None:
+                for w, u in zip(block, units):
+                    pipe.series(w.signal, w.tone, u)
+            runs = functools.partial(pipe.runs, block=block, units=units)
+            for acc, r in zip(per_rate, each(runs, mods)):
                 acc += r
 
     from statistics import median  # np.median's float, without its first call's numpy.ma import

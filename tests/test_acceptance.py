@@ -227,9 +227,9 @@ def test_criterion_7_property_suites(tmp_path):
     # a channel gain of 3.7 scales the whole received spectrum
     k = 3.7
     scaled = replace(base, signal=k * base.signal, tone=k * base.tone, norm=k * base.norm)
-    ddm = pipe.run(base, pipe.noise(0))[1]
+    ddm = pipe.runs(base, [pipe.noise(0)])[0][1]
 
-    gain_err = abs(pipe.run(scaled, pipe.noise(0))[1] - ddm)
+    gain_err = abs(pipe.runs(scaled, [pipe.noise(0)])[0][1] - ddm)
     checks.append(("ddm gain invariance <=1e-9", gain_err <= 1e-9, f"{gain_err:.2e}"))
     phase_err = abs(run_single(replace(sine, tone=ToneParams(phase=0.9))).ddm_eq - ddm)
     checks.append(("ddm tone-phase invariance <=1e-9", phase_err <= 1e-9, f"{phase_err:.2e}"))

@@ -172,7 +172,7 @@ def test_gain_invariance(small_clock, k):
     )
 
     def ddm_of(mod):
-        return pipe.run(mod, pipe.noise(0))[1]
+        return pipe.runs(mod, [pipe.noise(0)])[0][1]
 
     assert ddm_of(scaled) == pytest.approx(ddm_of(base), abs=1e-9)
 

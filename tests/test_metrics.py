@@ -1,5 +1,7 @@
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from propeq import (
@@ -88,7 +90,15 @@ def test_two_term_form_equivalence(a_c, a_90, a_150):
 
 
 @given(a_c=positive, a_90=positive, a_150=positive, k=st.floats(1e-3, 1e3))
+# a_90 - a_150 cancels: off by 6.9e-11, against 1.8e-9 allowed
+@example(a_c=1.0, a_90=999902.0, a_150=999965.0, k=1.7120044927892764)
 def test_ddm_gain_invariance(a_c, a_90, a_150, k):
     base = compute_ddm(ToneAmplitudes(a_c, a_90, a_150))
     scaled = compute_ddm(ToneAmplitudes(k * a_c, k * a_90, k * a_150))
-    assert scaled == pytest.approx(base, abs=1e-12 * max(1.0, abs(base)))
+    # the rounding bound, with u = eps/2: k*a_c, k*a_90, k*a_150, their
+    # difference and the quotient each round once, so the scaled DDM is off
+    # the exact one by u*(a_90 + a_150)/a_c + 3u*|DDM| + O(u^2), and the
+    # unscaled one, whose difference and quotient round, by 2u*|DDM|. Together
+    # |dDDM| <= u*(a_90 + a_150)/a_c + 5u*|DDM| + O(u^2), within this bound
+    eps = sys.float_info.epsilon
+    assert abs(scaled - base) <= 4 * eps * (abs(base) + (a_90 + a_150) / a_c)

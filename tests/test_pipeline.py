@@ -357,7 +357,7 @@ def test_run_kernel_reads_the_fft_of_its_quotient(n):
     spec = np.fft.fft(pipe.equalized(mod, noise).samples)
     bins = spec[[bin_index(cfg.clock, f) for f in DDM_FREQS]]
     want = compute_ddm(amplitudes_from_bins(bins, n))
-    assert pipe.run(mod, noise)[1] == pytest.approx(want, rel=0, abs=1e-12)
+    assert pipe.runs(mod, [noise])[0][1] == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_simulate_makes_two_short_inverse_transforms(inverse_lengths):
@@ -381,21 +381,46 @@ def test_default_sweep_makes_its_band_iffts_per_rate_and_per_seed(inverse_length
         assert set(inverse_lengths) == {640}
 
 
-def test_sweep_holds_one_block_of_noise_series():
-    # a block of seeds' noise series is held at once, never every seed's
+@pytest.mark.parametrize("fp_stop", [22.5, 23.0])
+def test_sweep_holds_one_block_of_noise_series(fp_stop):
+    # one block of seeds' noise is held at once, never every seed's, whether
+    # the sweep shares series (two rates) or not (one): fifty times the
+    # seeds grow the peak by less than two capture-length arrays
     cfg = default_scenario()
     n, block = cfg.clock.n_samples, seeds_per_block(cfg.clock.n_samples)
 
     def peak(n_seeds):
         tracemalloc.start()
         try:
-            sweep_fp(cfg, 22.5, 23.0, 0.5, seeds=list(range(n_seeds)))
+            sweep_fp(cfg, 22.5, fp_stop, 0.5, seeds=list(range(n_seeds)))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    one, two = peak(block), peak(2 * block)
-    assert two - one < 2 * 16 * n
+    one, many = peak(block), peak(50 * block)
+    assert many - one < 2 * 16 * n
+
+
+def test_sweep_rejects_a_bad_seed_in_a_later_block_before_any_run(monkeypatch):
+    # the bad seed falls in the second block, whose noise is drawn only when
+    # that block runs; every seed is checked before any rate is modulated
+    calls = []
+
+    def counted(name):
+        method = getattr(Pipeline, name)
+
+        def call(pipe, *args):
+            calls.append(name)
+            return method(pipe, *args)
+        return call
+
+    for name in ("modulate", "noise"):
+        monkeypatch.setattr(Pipeline, name, counted(name))
+    seeds = [0, 1, 2, 3, 4, 5, -1]
+    assert seeds.index(-1) >= seeds_per_block(default_scenario().clock.n_samples)
+    with pytest.raises(ValueError, match=r"^rng_seed must be a non-negative int, got -1$"):
+        sweep_fp(default_scenario(), 22.5, 23.0, 0.5, seeds=seeds)
+    assert calls == []
 
 
 def test_one_simulate_holds_few_capture_length_arrays():
@@ -458,8 +483,9 @@ _PATHS = ["run", "shared", "equalized", "sweep"]
 def _corrupted_path(monkeypatch, attr, corrupt, path):
     """The outcome of ``path`` on the default scenario with the band IFFT ``attr`` corrupted.
 
-    ``run`` and ``equalized`` make their own band IFFTs; ``shared`` sums a
-    clean and a unit series, both corrupted, as a sweep's run does; ``sweep``
+    ``run`` and ``equalized`` make their own band IFFTs; ``shared`` hands the
+    kernel a held unit series, so it sums that and the clean series it makes,
+    both corrupted, as a sweep's run does; ``sweep``
     is a 2-rate x 2-seed sweep whose every ``Pipeline`` is corrupted.
     """
     def corrupting(pipe):
@@ -484,12 +510,11 @@ def _corrupted_path(monkeypatch, attr, corrupt, path):
     corrupting(pipe)
     mod, noise = pipe.modulate(), pipe.noise(0)
     if path == "run":
-        return pipe.run(mod, noise)
+        return pipe.runs(mod, [noise])[0]
     if path == "shared":
-        n = pipe.cfg.clock.n_samples
-        clean, unit = (pipe.series(b.signal, b.tone, np.empty((2, n), dtype=np.complex128))
-                       for b in (mod, noise))
-        return pipe.runs(mod, [noise], (clean, [unit]))[0]
+        unit = pipe.series(noise.signal, noise.tone,
+                           np.empty((2, pipe.cfg.clock.n_samples), dtype=np.complex128))
+        return pipe.runs(mod, [noise], [unit])[0]
     return pipe.equalized(mod, noise)
 
 

@@ -415,7 +415,11 @@ def scenario_with(cfg, f_p=None, seed=None):
     return (cfg, f_p, seed)
 
 
-def sweep_fp(cfg, start, stop, step, seeds):
+def load_config(path):
+    return path.name
+
+
+def sweep_fp(cfg, start, stop, step, seeds, workers=1):
     bench_fake_clock.advance(DELAY)
 
 
@@ -490,7 +494,8 @@ def test_interleaved_pairs_resolve_an_injected_delay(tmp_path, monkeypatch, fake
     got = bench.interleaved(roots, 40, 1)
     assert got["pairs"] == 40
     assert got["blind_to"] == ["setup_s", "import time", "peak RSS", "page faults"]
-    for kind in ("sweep", "simulate"):
+    assert set(got) == {"pairs", "warmups", "blind_to", *bench.KINDS}
+    for kind in ("sweep", "simulate", "multiprop_w2"):
         ratio, blocks = got[kind]["ratio"], got[kind]["block_medians"]
         assert len(ratio["runs"]) == 40 and len(blocks) == 10
         if head_delay == 1.0:
@@ -513,6 +518,6 @@ def test_bench_script_writes_its_interleaved_pairs(tmp_path, monkeypatch, fake_c
     assert bench.main(["7", "b", "h", "--pairs", "2", "--interleaved", "10"]) == 0
     inter = json.loads((tmp_path / "BENCH_7.json").read_text())["interleaved"]
     assert inter["pairs"] == 10
-    assert set(inter) == {"pairs", "warmups", "blind_to", "sweep", "simulate"}
+    assert set(inter) == {"pairs", "warmups", "blind_to", "sweep", "simulate", "multiprop_w2"}
     assert set(inter["sweep"]) == {"ratio", "block_medians", "wins", "sign_test_p"}
 
